@@ -220,11 +220,31 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+# One row per count/features setting: (key, type, default, choices, env).
+# The key is also the argparse dest; a value comes from the command line,
+# else the config file, else the env var, else the default.
+SETTINGS = (
+    ("dataset", str, None, None, ""),
+    ("format", str, "jsonl",
+     DATASET_FORMATS + ("edgelist_dir", "single_edgelist"), ""),
+    ("patterns", list, None, None, ""),
+    ("mode", str, "hom", COUNT_MODES, ""),
+    ("level", str, GRAPH_LEVEL, (GRAPH_LEVEL, NODE_LEVEL), ""),
+    ("auto_anchor", bool, False, None, ""),
+    ("include_singleton", bool, False, None, ""),
+    ("include_derived", bool, None, None, ""),
+    ("min_treewidth", int, None, None, ""),
+    ("jobs", int, 1, None, ""),
+    ("cache", str, None, None, CACHE_ENV),
+    ("allow_wide", bool, False, None, ""),
+    ("out", str, "-", None, ""),
+    ("out_format", str, "csv", ("csv", "jsonl"), ""),
+    ("encoding", str, "raw", ENCODING_KINDS, ""),
+    ("pe_dim", int, 8, None, ""),
+)
+
+
 def _load_config(path) -> dict:
-    known = {"dataset", "format", "patterns", "mode", "level", "auto_anchor",
-             "jobs", "cache", "allow_wide", "min_treewidth", "out",
-             "out_format", "encoding", "pe_dim", "include_derived",
-             "include_singleton"}
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -232,63 +252,55 @@ def _load_config(path) -> dict:
         raise UsageError(f"cannot read config {path}: {e}") from None
     if not isinstance(doc, dict):
         raise UsageError(f"config {path} must hold a JSON object")
-    unknown = sorted(set(doc) - known)
+    unknown = sorted(set(doc) - {row[0] for row in SETTINGS})
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
     return doc
 
 
-def _resolve(cli_value, config: dict, key: str, default=None, env: str = ""):
-    """Setting precedence: command line, then config, then env, then default."""
-    if cli_value is not None:
-        return cli_value
-    if key in config:
-        return config[key]
-    if env and os.environ.get(env):
-        return os.environ[env]
-    return default
+def _settings(args, config: dict) -> dict:
+    """Every setting resolved and checked against its row of SETTINGS."""
+    out = {}
+    for key, kind, default, choices, env in SETTINGS:
+        value = getattr(args, key, None)
+        if value is None:
+            value = config.get(key)
+        if value is None:
+            value = (env and os.environ.get(env)) or default
+        if kind is list and isinstance(value, str):
+            value = [value]
+        if kind is list:
+            ok = isinstance(value, list) and all(type(x) is str for x in value)
+        else:
+            ok = type(value) is kind  # so a bool is not an int
+        if value is not None and not ok:
+            what = "a list of strings" if kind is list else kind.__name__
+            raise UsageError(f"setting {key!r} must be {what}, got {value!r}")
+        if choices and value not in choices:
+            raise UsageError(f"setting {key!r} must be one of"
+                             f" {', '.join(choices)}; got {value!r}")
+        out[key] = value
+    return out
 
 
 def _run_count(args, encoded: bool) -> int:
     config = _load_config(args.config) if args.config else {}
-    dataset_path = _resolve(args.dataset, config, "dataset")
-    if not dataset_path:
+    opts = _settings(args, config)
+    if not opts["dataset"]:
         raise UsageError("no dataset given; pass --dataset")
-    fmt = _resolve(args.format, config, "format", default="jsonl")
-    if fmt.replace("_", "-") not in DATASET_FORMATS:
-        raise UsageError(f"unknown dataset format {fmt!r}")
-    specs = args.patterns if args.patterns else config.get("patterns")
-    if specs is None:
+    if opts["patterns"] is None:
         raise UsageError("no patterns given; pass --pattern")
-    if isinstance(specs, str):
-        specs = [specs]
-    mode = _resolve(args.mode, config, "mode", default="hom")
-    if mode not in COUNT_MODES:
-        raise UsageError(f"unknown mode {mode!r}; choose from {COUNT_MODES}")
-    level = _resolve(args.level, config, "level", default=GRAPH_LEVEL)
-    auto_anchor_flag = bool(_resolve(args.auto_anchor, config, "auto_anchor",
-                                     default=False))
-    include_singleton = bool(_resolve(args.include_singleton, config,
-                                      "include_singleton", default=False))
-    jobs = int(_resolve(args.jobs, config, "jobs", default=1))
-    if jobs < 1:
+    if opts["jobs"] < 1:
         raise UsageError("--jobs must be >= 1")
-    cache_dir = _resolve(args.cache, config, "cache", env=CACHE_ENV)
-    allow_wide = bool(_resolve(args.allow_wide, config, "allow_wide",
-                               default=False))
-    min_tw = _resolve(args.min_treewidth, config, "min_treewidth")
-    out_path = _resolve(args.out, config, "out", default="-")
-    out_format = _resolve(args.out_format, config, "out_format", default="csv")
-    if out_format not in ("csv", "jsonl"):
-        raise UsageError(f"unknown output format {out_format!r}")
-    include_derived = _resolve(args.include_derived, config, "include_derived")
+    mode, level = opts["mode"], opts["level"]
+    include_derived = opts["include_derived"]
     if include_derived is None:
         include_derived = mode in ("sub", "indsub")
 
     started = time.perf_counter()
-    ds = load_dataset(dataset_path, fmt)
-    patterns = expand_pattern_specs(list(specs), include_singleton)
-    if level == NODE_LEVEL and auto_anchor_flag:
+    ds = load_dataset(opts["dataset"], opts["format"])
+    patterns = expand_pattern_specs(opts["patterns"], opts["include_singleton"])
+    if level == NODE_LEVEL and opts["auto_anchor"]:
         patterns = [_anchor_at_zero(p) for p in patterns]
     for p in patterns:
         anchored = isinstance(p, AnchoredGraph)
@@ -299,18 +311,16 @@ def _run_count(args, encoded: bool) -> int:
         if level == GRAPH_LEVEL and anchored:
             raise UsageError(
                 f"pattern {canonical_key(p)} is anchored; use --level node")
-    params = [build_combination(p, mode, cache_dir) for p in patterns]
-    if min_tw is not None:
-        params = [filter_min_treewidth(c, int(min_tw)) for c in params]
-    matrix = compute_features(ds, params, level, include_derived, jobs,
-                              allow_wide=allow_wide)
+    params = [build_combination(p, mode, opts["cache"]) for p in patterns]
+    if opts["min_treewidth"] is not None:
+        params = [filter_min_treewidth(c, opts["min_treewidth"])
+                  for c in params]
+    matrix = compute_features(ds, params, level, include_derived, opts["jobs"],
+                              allow_wide=opts["allow_wide"])
     if encoded:
-        encoding = _resolve(args.encoding, config, "encoding", default="raw")
-        if encoding not in ENCODING_KINDS:
-            raise UsageError(f"unknown encoding {encoding!r}")
-        pe_dim = int(_resolve(args.pe_dim, config, "pe_dim", default=8))
-        matrix = encode(matrix, EncodingSpec(encoding, pe_dim))
-    export(matrix, out_path, out_format)
+        matrix = encode(matrix, EncodingSpec(opts["encoding"], opts["pe_dim"]))
+    out_path = opts["out"]
+    export(matrix, out_path, opts["out_format"])
     wall = time.perf_counter() - started
     for gid, message in matrix.failures:
         print(f"failed {gid}: {message}", file=sys.stderr)

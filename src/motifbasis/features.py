@@ -17,11 +17,17 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
-from .graphs import AnchoredGraph, canonical_form, canonical_key
-from .homcount import CountFailure, HostGraph, batch_term_counts, dedupe_terms
+from .graphs import AnchoredGraph, EdgeError, canonical_form, canonical_key
+from .homcount import (
+    CountFailure,
+    HostGraph,
+    _combine,
+    _hom_level,
+    batch_term_counts,
+    dedupe_terms,
+)
 from .spasm import (
     GRAPH_LEVEL,
-    HOM_BASIS,
     NODE_LEVEL,
     BasisTerm,
     LinearCombination,
@@ -64,24 +70,6 @@ def _fail(path, lineno: Optional[int], message: str) -> DatasetError:
     return DatasetError(f"{where}: {message}")
 
 
-def _validated_edges(path, lineno, n: int, pairs) -> tuple[tuple[int, int], ...]:
-    seen = set()
-    out = []
-    for pair in pairs:
-        u, v = pair
-        if not 0 <= u < n or not 0 <= v < n:
-            raise _fail(path, lineno,
-                        f"edge ({u}, {v}) out of range for {n} vertices")
-        if u == v:
-            raise _fail(path, lineno, f"self-loop ({u}, {v})")
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise _fail(path, lineno, f"duplicate edge ({u}, {v})")
-        seen.add(e)
-        out.append(e)
-    return tuple(out)
-
-
 def _load_jsonl(path) -> Dataset:
     ids: list[str] = []
     hosts: list[HostGraph] = []
@@ -111,23 +99,24 @@ def _load_jsonl(path) -> Dataset:
             raw_edges = doc["edges"]
             if not isinstance(raw_edges, list):
                 raise _fail(path, lineno, "field 'edges' must be a list")
-            pairs = []
             for item in raw_edges:
                 if (not isinstance(item, list) or len(item) != 2
                         or not all(isinstance(x, int) and not isinstance(x, bool)
                                    for x in item)):
                     raise _fail(path, lineno,
                                 f"edge entries must be [u, v] pairs, got {item!r}")
-                pairs.append((item[0], item[1]))
-            edges = _validated_edges(path, lineno, n, pairs)
+            try:
+                hosts.append(HostGraph(n, raw_edges))
+            except EdgeError as e:
+                raise _fail(path, lineno, e.reason) from None
             taken.add(gid)
             ids.append(gid)
-            hosts.append(HostGraph(n, edges))
     return Dataset(tuple(ids), tuple(hosts), source=f"jsonl:{path}")
 
 
 def _parse_edge_file(path) -> HostGraph:
     pairs = []
+    linenos = []
     top = -1
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -145,19 +134,13 @@ def _parse_edge_file(path) -> HostGraph:
                             f"vertex labels must be integers, got {text!r}") from None
             if u < 0 or v < 0:
                 raise _fail(path, lineno, f"negative vertex in ({u}, {v})")
-            if u == v:
-                raise _fail(path, lineno, f"self-loop ({u}, {v})")
-            pairs.append(((u, v) if u < v else (v, u), lineno))
+            pairs.append((u, v))
+            linenos.append(lineno)
             top = max(top, u, v)
-    n = top + 1
-    seen = set()
-    edges = []
-    for e, lineno in pairs:
-        if e in seen:
-            raise _fail(path, lineno, f"duplicate edge {e}")
-        seen.add(e)
-        edges.append(e)
-    return HostGraph(n, tuple(edges))
+    try:
+        return HostGraph(top + 1, pairs)
+    except EdgeError as e:
+        raise _fail(path, linenos[e.index], e.reason) from None
 
 
 def _load_edgelist_dir(path) -> Dataset:
@@ -265,51 +248,29 @@ def compute_features(ds: Dataset, params: Sequence[LinearCombination],
     Output is identical for every jobs setting.
     """
     params = list(params)
-    for c in params:
-        if c.basis_kind != HOM_BASIS:
-            raise ValueError("feature computation needs Hom-basis combinations")
-        if c.level != level:
-            raise ValueError(f"parameter level {c.level!r} does not match {level!r}")
+    _hom_level(params, level)
     terms, refs = dedupe_terms(params)
     columns = _feature_columns(terms, params, include_derived_counts)
 
     row_ids: list[str] = []
     rows: list[tuple] = []
     failures: list[tuple[str, str]] = []
-    width = len(columns)
     stream = batch_term_counts(terms, ds.hosts, jobs=jobs, allow_wide=allow_wide)
     for gid, (host_n, counts) in zip(ds.ids, stream):
+        ids = ([gid] if level == GRAPH_LEVEL
+               else [f"{gid}:{v}" for v in range(host_n)])
+        row_ids.extend(ids)
         if isinstance(counts, CountFailure):
             failures.append((gid, counts.message))
-            blank = (None,) * width
-            if level == GRAPH_LEVEL:
-                row_ids.append(gid)
-                rows.append(blank)
-            else:
-                for v in range(host_n):
-                    row_ids.append(f"{gid}:{v}")
-                    rows.append(blank)
+            rows.extend([(None,) * len(columns)] * len(ids))
             continue
+        cols = list(counts)
+        if include_derived_counts:
+            cols.extend(_combine(counts, refs, level, host_n))
         if level == GRAPH_LEVEL:
-            cells = list(counts)
-            if include_derived_counts:
-                cells.extend(
-                    sum((coeff * counts[i] for i, coeff in ref), Fraction(0))
-                    for ref in refs
-                )
-            row_ids.append(gid)
-            rows.append(tuple(cells))
-        else:
-            for v in range(host_n):
-                cells = [vec[v] for vec in counts]
-                if include_derived_counts:
-                    cells.extend(
-                        sum((coeff * counts[i][v] for i, coeff in ref),
-                            Fraction(0))
-                        for ref in refs
-                    )
-                row_ids.append(f"{gid}:{v}")
-                rows.append(tuple(cells))
+            rows.append(tuple(cols))
+        else:  # cols hold one tuple over the vertices each
+            rows.extend(zip(*cols) if cols else [()] * host_n)
     return FeatureMatrix(level, columns, tuple(row_ids), tuple(rows),
                          tuple(failures))
 
@@ -487,8 +448,14 @@ def _cache_file(cache_dir, mode: str, key: str) -> Path:
     return Path(cache_dir) / mode / f"{name}.json"
 
 
+# Bump whenever an engine change would compute a different basis: entries
+# written under another version, or before versions existed, are misses.
+CACHE_FORMAT_VERSION = 1
+
+
 def _payload_digest(doc: dict, provenance: str) -> str:
-    blob = json.dumps({"combination": doc, "provenance": provenance},
+    blob = json.dumps({"combination": doc, "provenance": provenance,
+                       "version": CACHE_FORMAT_VERSION},
                       sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -499,8 +466,8 @@ def basis_cache_put(cache_dir, mode: str, key: str,
     target = _cache_file(cache_dir, mode, key)
     target.parent.mkdir(parents=True, exist_ok=True)
     doc = combination_to_json(c)
-    payload = {"key": key, "mode": mode, "combination": doc,
-               "provenance": c.provenance,
+    payload = {"version": CACHE_FORMAT_VERSION, "key": key, "mode": mode,
+               "combination": doc, "provenance": c.provenance,
                "sha256": _payload_digest(doc, c.provenance)}
     fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
     try:
@@ -516,14 +483,15 @@ def basis_cache_put(cache_dir, mode: str, key: str,
 
 def basis_cache_get(cache_dir, mode: str, key: str) -> Optional[LinearCombination]:
     """Stored combination, or None on miss.  Any corruption (bad JSON,
-    checksum or key mismatch) is a miss, never an error."""
+    checksum, key or format-version mismatch) is a miss, never an error."""
     target = _cache_file(cache_dir, mode, key)
     try:
         with open(target, encoding="utf-8") as fh:
             payload = json.load(fh)
         if not isinstance(payload, dict):
             return None
-        if payload.get("key") != key or payload.get("mode") != mode:
+        if (payload.get("version") != CACHE_FORMAT_VERSION
+                or payload.get("key") != key or payload.get("mode") != mode):
             return None
         doc = payload.get("combination")
         provenance = payload.get("provenance", "")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 # Hard ceilings for the exponential-cost entry points.  Partition
 # enumeration is Bell(n); graph enumeration by iso class is kept to sizes
@@ -30,24 +30,43 @@ class LimitError(ValueError):
     """Raised when an operation would exceed a documented resource limit."""
 
 
+class EdgeError(ValueError):
+    """Bad edge at position `index` of the input; `reason` omits it."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"edge {index}: {reason}")
+        self.index, self.reason = index, reason
+
+
+def validated_edges(n: int,
+                    pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The pairs as (min, max) edges in input order; the one edge check,
+    shared by Graph, HostGraph and the dataset loaders.  The first
+    out-of-range, self-loop or duplicate pair raises EdgeError."""
+    if n < 0:
+        raise ValueError("vertex count must be >= 0")
+    seen: set[tuple[int, int]] = set()
+    out = []
+    for i, (u, v) in enumerate(pairs):
+        if not (0 <= u < n and 0 <= v < n):
+            raise EdgeError(i, f"edge ({u}, {v}) out of range for {n} vertices")
+        if u == v:
+            raise EdgeError(i, f"self-loop ({u}, {v})")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise EdgeError(i, f"duplicate edge ({u}, {v})")
+        seen.add(e)
+        out.append(e)
+    return out
+
+
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
 
     __slots__ = ("n", "edges", "_adj", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise ValueError("vertex count must be >= 0")
-        norm = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            e = (u, v) if u < v else (v, u)
-            if e in norm:
-                raise ValueError(f"duplicate edge {e}")
-            norm.add(e)
+        norm = validated_edges(n, edges)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(norm)))
         adj: list[set[int]] = [set() for _ in range(n)]

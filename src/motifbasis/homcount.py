@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .decomp import NiceTreeDecomposition, to_nice, treewidth_exact
 from .graphs import (
@@ -30,6 +30,7 @@ from .graphs import (
     canonical_key,
     component_vertex_sets,
     induced_subgraph,
+    validated_edges,
 )
 from .spasm import GRAPH_LEVEL, HOM_BASIS, NODE_LEVEL, LinearCombination
 
@@ -55,23 +56,13 @@ class HostGraph:
     __slots__ = ("n", "m", "_adj", "_adjsets")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise ValueError("vertex count must be >= 0")
+        norm = validated_edges(n, edges)
         adj: list[list[int]] = [[] for _ in range(n)]
-        seen = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
+        for u, v in norm:
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", len(seen))
+        object.__setattr__(self, "m", len(norm))
         object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
         object.__setattr__(
             self, "_adjsets",
@@ -172,9 +163,18 @@ def _compile_ops(pattern: Graph, ntd: NiceTreeDecomposition) -> _Plan:
 
 
 @lru_cache(maxsize=None)
-def _plan_for(pattern: Graph, anchor: Optional[int]) -> _Plan:
-    _, td = treewidth_exact(pattern)
-    return _compile_ops(pattern, to_nice(td, anchor))
+def _component_plans(pattern: Graph,
+                     anchor: Optional[int]) -> tuple[tuple[_Plan, bool], ...]:
+    """One (plan, holds the anchor) pair per connected component, in
+    component order: the one place a pattern is split and compiled.  The
+    anchor's component is planned with the anchor at its root."""
+    out = []
+    for vs in component_vertex_sets(pattern):
+        comp = induced_subgraph(pattern, vs)
+        a = vs.index(anchor) if anchor in vs else None
+        _, td = treewidth_exact(comp)
+        out.append((_compile_ops(comp, to_nice(td, a)), a is not None))
+    return tuple(out)
 
 
 def _run_plan(plan: _Plan, host: HostGraph) -> dict:
@@ -258,9 +258,8 @@ def hom_count(pattern: Graph, host: HostGraph) -> int:
     if host.n == 0:
         return 0
     total = 1
-    for vs in component_vertex_sets(pattern):
-        comp = induced_subgraph(pattern, vs)
-        total *= _run_plan(_plan_for(comp, None), host).get((), 0)
+    for plan, _ in _component_plans(pattern, None):
+        total *= _run_plan(plan, host).get((), 0)
         if total == 0:
             return 0
     return total
@@ -281,30 +280,23 @@ def hom_count_node(pattern: AnchoredGraph, host: HostGraph) -> CountVector:
     if host.n == 0:
         return CountVector(key, ())
     rest = 1
-    vec: Optional[list[int]] = None
-    for vs in component_vertex_sets(pattern.graph):
-        comp = induced_subgraph(pattern.graph, vs)
-        if pattern.anchor in vs:
-            table = _run_plan(_plan_for(comp, vs.index(pattern.anchor)), host)
+    vec: list[int] = []
+    for plan, anchored in _component_plans(pattern.graph, pattern.anchor):
+        table = _run_plan(plan, host)
+        if anchored:
             vec = [table.get((w,), 0) for w in range(host.n)]
         else:
-            rest *= _run_plan(_plan_for(comp, None), host).get((), 0)
-    assert vec is not None
+            rest *= table.get((), 0)
     return CountVector(key, tuple(v * rest for v in vec))
 
 
 def plan_width(pattern: PatternLike) -> int:
     """Width of the compiled plan for a pattern (max over components)."""
     if isinstance(pattern, AnchoredGraph):
-        g, anchor = pattern.graph, pattern.anchor
+        plans = _component_plans(pattern.graph, pattern.anchor)
     else:
-        g, anchor = pattern, None
-    width = -1
-    for vs in component_vertex_sets(g):
-        comp = induced_subgraph(g, vs)
-        a = vs.index(anchor) if anchor is not None and anchor in vs else None
-        width = max(width, _plan_for(comp, a).width)
-    return width
+        plans = _component_plans(pattern, None)
+    return max((plan.width for plan, _ in plans), default=-1)
 
 
 def check_width_guard(pattern: PatternLike, host_n: int,
@@ -328,36 +320,63 @@ def check_width_guard(pattern: PatternLike, host_n: int,
 # === evaluation of linear combinations ===
 
 
-def _require_hom(c: LinearCombination, level: str) -> None:
-    if c.basis_kind != HOM_BASIS:
-        raise ValueError(
-            f"evaluation needs a Hom-basis combination, got {c.basis_kind};"
-            " convert first"
-        )
-    if c.level != level:
-        raise ValueError(f"expected a {level}-level combination, got {c.level}")
+def _hom_level(params: Sequence[LinearCombination],
+               level: Optional[str] = None) -> str:
+    """The level shared by all params, which must be Hom-basis
+    combinations; when `level` is given every param must be at it."""
+    for c in params:
+        if c.basis_kind != HOM_BASIS:
+            raise ValueError(
+                f"evaluation needs Hom-basis combinations, got {c.basis_kind};"
+                " convert first")
+        level = level or c.level
+        if c.level != level:
+            raise ValueError(
+                f"parameter level {c.level!r} does not match {level!r}")
+    return level or GRAPH_LEVEL
+
+
+def _combine(counts: Sequence, refs: Sequence[Sequence[tuple[int, Fraction]]],
+             level: str, n: int) -> list:
+    """Sum of coefficient x hom count per parameter, over one host.
+
+    `counts` holds one entry per term (an int at graph level, a tuple over
+    the host's n vertices at node level); `refs` lists (term index,
+    coefficient) pairs per parameter.  Returns a Fraction per parameter,
+    or at node level a tuple of n Fractions.
+    """
+    if level == GRAPH_LEVEL:
+        return [sum((coeff * counts[i] for i, coeff in ref), Fraction(0))
+                for ref in refs]
+    out = []
+    for ref in refs:
+        acc = [Fraction(0)] * n
+        for i, coeff in ref:
+            for v, cnt in enumerate(counts[i]):
+                if cnt:
+                    acc[v] += coeff * cnt
+        out.append(tuple(acc))
+    return out
+
+
+def _evaluate_one(c: LinearCombination, host: HostGraph, level: str) -> list:
+    """Single-host evaluation: every term counted as written, no dedupe
+    and no width guard."""
+    _hom_level([c], level)
+    counts = term_counts_for_host([t.graph for t in c.terms], host,
+                                  allow_wide=True)
+    ref = [(i, t.coefficient) for i, t in enumerate(c.terms)]
+    return _combine(counts, [ref], level, host.n)[0]
 
 
 def evaluate(c: LinearCombination, host: HostGraph) -> Fraction:
     """Exact value of a graph-level Hom-basis combination on a host."""
-    _require_hom(c, GRAPH_LEVEL)
-    total = Fraction(0)
-    for t in c.terms:
-        total += t.coefficient * hom_count(t.graph, host)
-    return total
+    return _evaluate_one(c, host, GRAPH_LEVEL)
 
 
 def evaluate_node(c: LinearCombination, host: HostGraph) -> list[Fraction]:
     """Per-vertex values of a node-level Hom-basis combination."""
-    _require_hom(c, NODE_LEVEL)
-    out = [Fraction(0)] * host.n
-    for t in c.terms:
-        vec = hom_count_node(t.graph, host)
-        coeff = t.coefficient
-        for v, cnt in enumerate(vec.values):
-            if cnt:
-                out[v] += coeff * cnt
-    return out
+    return list(_evaluate_one(c, host, NODE_LEVEL))
 
 
 # === batch evaluation ===
@@ -391,13 +410,6 @@ def dedupe_terms(
     return [by_key[k] for k in keys], refs
 
 
-def _uniform_level(params: Sequence[LinearCombination]) -> str:
-    levels = {c.level for c in params}
-    if len(levels) > 1:
-        raise ValueError("cannot batch graph-level and node-level params")
-    return levels.pop() if levels else GRAPH_LEVEL
-
-
 def term_counts_for_host(terms: Sequence[PatternLike], host: HostGraph,
                          allow_wide: bool = False) -> list:
     """Counts of every term on one host; ints or per-vertex tuples."""
@@ -421,12 +433,16 @@ def _init_worker(terms: Sequence[PatternLike], allow_wide: bool) -> None:
     _WORKER_ALLOW_WIDE = allow_wide
 
 
-def _count_one(host: HostGraph):
+def _count_row(terms: Sequence[PatternLike], host: HostGraph,
+               allow_wide: bool):
     try:
-        return host.n, term_counts_for_host(_WORKER_TERMS, host,
-                                            _WORKER_ALLOW_WIDE)
+        return host.n, term_counts_for_host(terms, host, allow_wide)
     except LimitError as e:
         return host.n, CountFailure(str(e))
+
+
+def _count_one(host: HostGraph):
+    return _count_row(_WORKER_TERMS, host, _WORKER_ALLOW_WIDE)
 
 
 def batch_term_counts(terms: Sequence[PatternLike],
@@ -440,10 +456,9 @@ def batch_term_counts(terms: Sequence[PatternLike],
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if jobs == 1:
-        _init_worker(terms, allow_wide)
+    if jobs == 1:  # no worker globals, so interleaved streams stay apart
         for host in hosts:
-            yield _count_one(host)
+            yield _count_row(terms, host, allow_wide)
         return
     import multiprocessing as mp
 
@@ -462,28 +477,10 @@ def batch_evaluate(params: Sequence[LinearCombination],
     Fraction tuples.  Term counts shared between params are computed once
     per host.  Failures appear as CountFailure rows in position.
     """
-    for c in params:
-        if c.basis_kind != HOM_BASIS:
-            raise ValueError("batch evaluation needs Hom-basis combinations")
-    level = _uniform_level(params)
+    level = _hom_level(params)
     terms, refs = dedupe_terms(params)
     for host_n, counts in batch_term_counts(terms, hosts, jobs, allow_wide):
         if isinstance(counts, CountFailure):
             yield counts
-            continue
-        if level == GRAPH_LEVEL:
-            yield [
-                sum((coeff * counts[i] for i, coeff in ref), Fraction(0))
-                for ref in refs
-            ]
         else:
-            row = []
-            for ref in refs:
-                acc = [Fraction(0)] * host_n
-                for i, coeff in ref:
-                    vec = counts[i]
-                    for v, cnt in enumerate(vec):
-                        if cnt:
-                            acc[v] += coeff * cnt
-                row.append(tuple(acc))
-            yield row
+            yield _combine(counts, refs, level, host_n)

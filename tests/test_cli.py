@@ -365,6 +365,25 @@ def test_config_rejects(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("key,value", [
+    ("patterns", [5]),          # was an AttributeError traceback, exit 1
+    ("out", 2),                 # was open(2): the CSV went to fd 2
+    ("include_derived", "no"),  # was truthy, so the column was emitted
+    ("level", "foo"),           # was a misleading level-mismatch error
+    ("jobs", True),
+    ("format", "parquet"),
+])
+def test_config_rejects_bad_values(capsys, tmp_path, key, value):
+    ds = write_dataset(tmp_path)
+    cfg = tmp_path / "bad.json"
+    doc = {"dataset": str(ds), "patterns": ["C4"], "mode": "sub"}
+    doc[key] = value
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "features", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert f"'{key}'" in err and "Traceback" not in err
+
+
 # ------------------------------------------------------------------- check
 
 def test_check_command(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from motifbasis.features import (
+    CACHE_FORMAT_VERSION,
     Dataset,
     DatasetError,
     EncodingSpec,
@@ -401,6 +403,32 @@ def test_cache_rejects_corruption(tmp_path):
     assert basis_cache_get(tmp_path, "spasm", "Cs") is None
     f.write_text(good)
     assert basis_cache_get(tmp_path, "spasm", "Cs") == c
+
+
+def test_cache_version_mismatch_recomputes(tmp_path):
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return spasm_of(named_pattern("C5"))
+
+    target = basis_cache_put(tmp_path, "spasm", "Cr", compute())
+    good = json.loads(target.read_text())
+    assert good["version"] == CACHE_FORMAT_VERSION
+    # an entry from before versions existed: its digest covered only the
+    # combination and provenance, so it checks out under the old scheme
+    old = {k: v for k, v in good.items() if k != "version"}
+    blob = json.dumps({"combination": old["combination"],
+                       "provenance": old["provenance"]},
+                      sort_keys=True, separators=(",", ":"))
+    old["sha256"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    for stale in (old, dict(good, version=CACHE_FORMAT_VERSION + 1)):
+        target.write_text(json.dumps(stale))
+        assert basis_cache_get(tmp_path, "spasm", "Cr") is None
+        before = len(calls)
+        got = cache_through(tmp_path, "spasm", "Cr", compute)
+        assert len(calls) == before + 1 and got == compute()
+        assert json.loads(target.read_text()) == good  # rewritten
 
 
 def test_cache_through(tmp_path):

@@ -38,7 +38,14 @@ from .graphs import (
     named_pattern,
     parse_graph6,
 )
-from .homcount import HostGraph, evaluate, evaluate_node, hom_count, hom_count_node
+from .homcount import (
+    HostGraph,
+    batch_evaluate,
+    evaluate,
+    evaluate_node,
+    hom_count,
+    hom_count_node,
+)
 from .oracle import (
     ORACLE_PATTERN_LIMIT,
     brute_hom,
@@ -286,6 +293,9 @@ def _settings(args, config: dict) -> dict:
 def _run_count(args, encoded: bool) -> int:
     config = _load_config(args.config) if args.config else {}
     opts = _settings(args, config)
+    # count ignores the encoding, but one config file drives both commands,
+    # so both reject a bad one before any work
+    spec = EncodingSpec(opts["encoding"], opts["pe_dim"])
     if not opts["dataset"]:
         raise UsageError("no dataset given; pass --dataset")
     if opts["patterns"] is None:
@@ -318,7 +328,7 @@ def _run_count(args, encoded: bool) -> int:
     matrix = compute_features(ds, params, level, include_derived, opts["jobs"],
                               allow_wide=opts["allow_wide"])
     if encoded:
-        matrix = encode(matrix, EncodingSpec(opts["encoding"], opts["pe_dim"]))
+        matrix = encode(matrix, spec)
     out_path = opts["out"]
     export(matrix, out_path, opts["out_format"])
     wall = time.perf_counter() - started
@@ -366,6 +376,20 @@ def _route_indsub_graph(pattern: Graph, anchor: int, host: Graph):
     return value, Fraction(brute_indsub(pattern, host))
 
 
+def _route_batch_node(pattern: Graph, anchor: int, host: Graph):
+    # a second anchored pattern, drawn from the sample itself, so that
+    # sub-plans shared across the two parameters' terms are checked too
+    rng = random.Random(
+        f"{format_graph6(pattern)}@{anchor} {format_graph6(host)}")
+    other = rng.choice(enumerate_connected_graphs(2, pattern.n))
+    aps = [AnchoredGraph(pattern, anchor),
+           AnchoredGraph(other, rng.randrange(other.n))]
+    got = next(batch_evaluate([anchored_spasm_of(a) for a in aps],
+                              [HostGraph.from_graph(host)]))
+    return got, [tuple(Fraction(x) for x in brute_sub_node(a, host))
+                 for a in aps]
+
+
 # name -> (engine value, oracle value); kept at module level so a test can
 # swap in a broken route and watch the checker catch it
 CHECK_ROUTES: dict[str, Callable] = {
@@ -374,6 +398,7 @@ CHECK_ROUTES: dict[str, Callable] = {
     "sub-graph": _route_sub_graph,
     "sub-node": _route_sub_node,
     "indsub-graph": _route_indsub_graph,
+    "batch-node": _route_batch_node,
 }
 
 

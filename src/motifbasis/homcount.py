@@ -1,12 +1,26 @@
 """The counting engine: exact homomorphism counts via tree-decomposition DP.
 
-A pattern is compiled once into a plan: a linear sequence of stack ops
-derived from a nice tree decomposition (leaf pushes the unit table,
-introduce extends assignments by the new vertex filtered through host
-adjacency, forget sums an assignment slot out, join multiplies matching
-assignments).  Running a plan against a host costs O(n^(width+1)) table
-entries in the worst case, so plans are cached per pattern and guarded by
-an explicit width check before large hosts.
+A pattern is compiled once, per connected component, into a plan: a
+post-order sequence of ops over a nice tree decomposition, each op turning
+the tables of its children (assignment tuple -> count) into its own.  The
+compiler reorders each introduce run neighbour-first, so only the first
+introduce after a leaf ranges over every host vertex and the others are
+filtered through host adjacency (two or more bag neighbours intersect
+their frozensets).  It also fuses each run of forgets, as one
+projection, into the introduce or join below it, which then writes
+straight into the projected key; an introduce whose new vertex is
+forgotten at once just multiplies each count by its number of
+candidates.  Running a plan costs
+O(n^(width+1)) table entries in the worst case, so plans are cached per
+pattern and guarded by an explicit width check before large hosts.
+
+Spasm terms are quotients of one pattern, so their plans share pieces.
+Every op carries the key of its sub-plan, the op sequence that fully
+determines its table on a host.  `term_counts_for_host` counts a row's
+terms in order with one sub-plan store per host: a sub-plan that two or
+more consumers in the row need is computed once, kept, and dropped after
+its last consumer takes it.  The reuse counts come from replaying the
+row's plans without a host, once per term list.
 
 Everything is arbitrary-precision integer arithmetic; floats never appear.
 Disconnected patterns multiply over components; anchored counts keep the
@@ -16,9 +30,12 @@ anchor's component as the vector factor.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .decomp import NiceTreeDecomposition, to_nice, treewidth_exact
@@ -125,41 +142,109 @@ class CountVector:
 # === plan compilation ===
 
 
+# (op, keys of its children) -> small int id: equal ids mean equal sub-plan
+# op sequences, and store lookups hash an int.  Grows with the plan cache.
+_SUBPLAN_IDS: dict[tuple, int] = {}
+
+
 @dataclass(frozen=True)
 class _Plan:
+    """Post-order ops over assignment tuples in sorted-bag slot order.
+
+    keys[i] is the id of op i's sub-plan (the ops from the first op of its
+    subtree up to op i), which fully determines op i's table on a given
+    host; spans[i] lists (last op, key) for the sub-plans that begin at op
+    i, largest first, leaves excluded.
+    """
+
     ops: tuple
     width: int
+    keys: tuple[int, ...]
+    spans: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _intro_order(pattern: Graph, bag: Sequence[int],
+                 new: Iterable[int]) -> list[int]:
+    """Introduce order for one run: next is the smallest new vertex with a
+    neighbour already in the bag, else the smallest new vertex."""
+    rest = sorted(new)
+    if len(rest) < 2:
+        return rest
+    have = set(bag)
+    order = []
+    while rest:
+        v = next((u for u in rest if not have.isdisjoint(pattern.neighbors(u))),
+                 rest[0])
+        rest.remove(v)
+        have.add(v)
+        order.append(v)
+    return order
 
 
 def _compile_ops(pattern: Graph, ntd: NiceTreeDecomposition) -> _Plan:
-    """Flatten a nice decomposition into stack ops.
+    """Compile a nice decomposition into post-order ops.
 
-    Node indices are already a valid bottom-up order with contiguous
-    subtrees, so a plain stack evaluation visits children right before
-    their parent.
+    ("leaf",) pushes the unit table, ("join", keep) multiplies matching
+    assignments, and ("intro", ins, nbrs, keep) puts each candidate image
+    at slot `ins`: any host vertex without bag neighbours, else the common
+    neighbours of the images at slots `nbrs`.  Each introduce run is
+    reordered neighbour-first.  Each forget run becomes one projection
+    fused into the op below it as `keep`, the slots that stay (None when
+    nothing is forgotten), so the op writes straight into the projected
+    key; an introduce whose `keep` drops the new slot only multiplies
+    each count by its number of candidates.
     """
-    ops = []
-    for i in range(len(ntd)):
+    ops: list[tuple] = []
+
+    def build(i: int) -> tuple[int, ...]:
+        """Emit the ops of node i's subtree; returns its bag, sorted."""
         kind = ntd.kinds[i]
         if kind == "leaf":
             ops.append(("leaf",))
-        elif kind == "introduce":
-            c = ntd.children[i][0]
-            v = ntd.vertex[i]
-            child_bag = ntd.bags[c]
-            ins = ntd.bags[i].index(v)
-            in_bag = set(child_bag)
-            nbrs = tuple(
-                child_bag.index(u) for u in sorted(pattern.neighbors(v))
-                if u in in_bag
-            )
-            ops.append(("intro", ins, nbrs))
-        elif kind == "forget":
-            c = ntd.children[i][0]
-            ops.append(("forget", ntd.bags[c].index(ntd.vertex[i])))
+            return ()
+        if kind == "join":
+            a, b = ntd.children[i]
+            bag = build(a)
+            build(b)
+            ops.append(("join", None))
+            return bag
+        run = []
+        while ntd.kinds[i] == kind:
+            run.append(ntd.vertex[i])
+            i = ntd.children[i][0]
+        bag = build(i)
+        if kind == "forget":  # below it is an introduce or a join
+            keep = tuple(s for s, u in enumerate(bag) if u not in run)
+            ops[-1] = ops[-1][:-1] + (keep,)
+            return tuple(bag[s] for s in keep)
+        for v in _intro_order(pattern, bag, run):
+            adj = pattern.neighbors(v)
+            nbrs = tuple(s for s, u in enumerate(bag) if u in adj)
+            bag = tuple(sorted(bag + (v,)))
+            ops.append(("intro", bag.index(v), nbrs, None))
+        return bag
+
+    build(ntd.root)
+    keys: list[int] = []
+    spans: list[list[tuple[int, int]]] = [[] for _ in ops]
+    pending: list[tuple[int, int]] = []  # (first op, key) of each subtree
+    for i, op in enumerate(ops):
+        if op[0] == "leaf":
+            first, kids = i, ()
+        elif op[0] == "join":
+            _, b = pending.pop()
+            first, a = pending.pop()
+            kids = (a, b)
         else:
-            ops.append(("join",))
-    return _Plan(tuple(ops), ntd.width)
+            first, c = pending.pop()
+            kids = (c,)
+        key = _SUBPLAN_IDS.setdefault((op, kids), len(_SUBPLAN_IDS))
+        pending.append((first, key))
+        keys.append(key)
+        if kids:
+            spans[first].insert(0, (i, key))
+    return _Plan(tuple(ops), ntd.width, tuple(keys),
+                 tuple(map(tuple, spans)))
 
 
 @lru_cache(maxsize=None)
@@ -177,79 +262,205 @@ def _component_plans(pattern: Graph,
     return tuple(out)
 
 
-def _run_plan(plan: _Plan, host: HostGraph) -> dict:
-    """Execute a plan; returns the root table (assignment tuple -> count)."""
-    n = host.n
-    adj = host._adj
-    adjsets = host._adjsets
+def _term_plans(t: PatternLike) -> tuple[tuple[_Plan, bool], ...]:
+    if isinstance(t, AnchoredGraph):
+        return _component_plans(t.graph, t.anchor)
+    return _component_plans(t, None)
+
+
+# === the sub-plan store ===
+
+
+@lru_cache(maxsize=64)
+def _shared_subplans(terms: tuple[PatternLike, ...]) -> dict[int, int]:
+    """Sub-plan key -> number of times a later plan reuses its table, for
+    every sub-plan worth keeping when the terms are counted in order.
+
+    This replays what `_run_plan` does with a store, without a host: a
+    sub-plan that occurs twice or more is kept once computed, and each op
+    first tries the largest kept sub-plan that begins at it.  Keys that
+    no later op reuses are left out, so they are never stored.
+    """
+    plans = [plan for t in terms for plan, _ in _term_plans(t)]
+    seen = Counter(key for plan in plans
+                   for key, op in zip(plan.keys, plan.ops) if op[0] != "leaf")
+    kept: set[int] = set()
+    reuses: Counter[int] = Counter()
+    for plan in plans:
+        i = 0
+        while i < len(plan.ops):
+            hit = next((sp for sp in plan.spans[i] if sp[1] in kept), None)
+            if hit is not None:
+                reuses[hit[1]] += 1
+                i = hit[0] + 1
+                continue
+            if seen[plan.keys[i]] > 1:
+                kept.add(plan.keys[i])
+            i += 1
+    return reuses
+
+
+class _SubplanStore:
+    """Shared sub-plan tables of one host, for one row's term list.
+
+    A table is put when the first plan computes it and dropped when its
+    last consumer takes it, so a row that counts every term in order
+    leaves the store empty.
+    """
+
+    __slots__ = ("reuses", "live")
+
+    def __init__(self, reuses: dict[int, int]):
+        self.reuses = reuses
+        self.live: dict[int, list] = {}  # key -> [table, takes left]
+
+    def take(self, spans: Sequence[tuple[int, int]]):
+        """(last op, table) for the largest live sub-plan among `spans`,
+        or None."""
+        live = self.live
+        for last, key in spans:
+            entry = live.get(key)
+            if entry is not None:
+                entry[1] -= 1
+                if not entry[1]:
+                    del live[key]
+                return last, entry[0]
+        return None
+
+    def put(self, key: int, table: dict) -> None:
+        n = self.reuses.get(key)
+        if n:
+            self.live[key] = [table, n]
+
+
+# === plan execution ===
+
+
+def _candidates(nbrs: tuple[int, ...], host: HostGraph):
+    """Function from a child assignment to the new vertex's candidate
+    images: every host vertex, the neighbours of one image, or the
+    common neighbours of several."""
+    if not nbrs:
+        every = range(host.n)
+        return lambda key: every
+    adj, adjsets = host._adj, host._adjsets
+    if len(nbrs) == 1:
+        p, = nbrs
+        return lambda key: adj[key[p]]
+    p, q, *rest = nbrs
+    if not rest:
+        return lambda key: adjsets[key[p]] & adjsets[key[q]]
+    return lambda key: adjsets[key[p]].intersection(
+        adjsets[key[q]], *[adjsets[key[r]] for r in rest])
+
+
+def _picker(slots: Sequence[int]):
+    """Function from a key to the tuple of its entries at `slots`."""
+    if not slots:
+        return lambda key: ()
+    if len(slots) == 1:
+        s, = slots
+        return lambda key: (key[s],)
+    return itemgetter(*slots)
+
+
+def _intro(child: dict, ins: int, nbrs: tuple[int, ...],
+           keep: Optional[tuple[int, ...]], host: HostGraph) -> dict:
+    cands = _candidates(nbrs, host)
+    out: dict = {}
+    if keep is None:
+        for key, cnt in child.items():
+            pre, post = key[:ins], key[ins:]
+            for w in cands(key):
+                out[pre + (w,) + post] = cnt
+        return out
+    get = out.get
+    # keep lists slots of the key with the new image in it at `ins`
+    pick = _picker([s if s < ins else s - 1 for s in keep if s != ins])
+    if ins not in keep:
+        for key, cnt in child.items():
+            m = len(cands(key))
+            if m:
+                nk = pick(key)
+                out[nk] = get(nk, 0) + cnt * m
+        return out
+    at = keep.index(ins)
+    for key, cnt in child.items():
+        nk = pick(key)
+        pre, post = nk[:at], nk[at:]
+        for w in cands(key):
+            k2 = pre + (w,) + post
+            out[k2] = get(k2, 0) + cnt
+    return out
+
+
+def _join(a: dict, b: dict, keep: Optional[tuple[int, ...]]) -> dict:
+    if len(b) < len(a):
+        a, b = b, a
+    bget = b.get
+    out: dict = {}
+    if keep is None:
+        for key, cnt in a.items():
+            c2 = bget(key)
+            if c2 is not None:
+                out[key] = cnt * c2
+        return out
+    pick = _picker(keep)
+    get = out.get
+    for key, cnt in a.items():
+        c2 = bget(key)
+        if c2 is not None:
+            nk = pick(key)
+            out[nk] = get(nk, 0) + cnt * c2
+    return out
+
+
+def _run_plan(plan: _Plan, host: HostGraph,
+              store: Optional[_SubplanStore] = None) -> dict:
+    """Execute a plan; returns the root table (assignment tuple -> count).
+
+    With a store, each op first takes the largest stored sub-plan that
+    begins at it and skips that sub-plan's ops, and each computed table
+    the store wants is put there.
+    """
+    ops = plan.ops
     stack: list[dict] = []
-    for op in plan.ops:
+    i = 0
+    while i < len(ops):
+        if store is not None:
+            hit = store.take(plan.spans[i])
+            if hit is not None:
+                i = hit[0] + 1
+                stack.append(hit[1])
+                continue
+        op = ops[i]
         tag = op[0]
         if tag == "intro":
-            _, ins, nbrs = op
-            child = stack.pop()
-            out: dict = {}
-            if not nbrs:
-                rng = range(n)
-                for key, cnt in child.items():
-                    pre, post = key[:ins], key[ins:]
-                    for w in rng:
-                        out[pre + (w,) + post] = cnt
-            elif len(nbrs) == 1:
-                p = nbrs[0]
-                for key, cnt in child.items():
-                    pre, post = key[:ins], key[ins:]
-                    for w in adj[key[p]]:
-                        out[pre + (w,) + post] = cnt
-            else:
-                for key, cnt in child.items():
-                    imgs = [key[p] for p in nbrs]
-                    best = min(imgs, key=lambda x: len(adj[x]))
-                    others = [adjsets[x] for x in imgs if x != best]
-                    pre, post = key[:ins], key[ins:]
-                    for w in adj[best]:
-                        ok = True
-                        for s in others:
-                            if w not in s:
-                                ok = False
-                                break
-                        if ok:
-                            out[pre + (w,) + post] = cnt
-            stack.append(out)
-        elif tag == "forget":
-            drop = op[1]
-            child = stack.pop()
-            out = {}
-            get = out.get
-            for key, cnt in child.items():
-                nk = key[:drop] + key[drop + 1:]
-                out[nk] = get(nk, 0) + cnt
-            stack.append(out)
+            out = _intro(stack.pop(), op[1], op[2], op[3], host)
         elif tag == "join":
             b = stack.pop()
-            a = stack.pop()
-            if len(b) < len(a):
-                a, b = b, a
-            bget = b.get
-            out = {}
-            for k, c in a.items():
-                c2 = bget(k)
-                if c2 is not None:
-                    out[k] = c * c2
-            stack.append(out)
+            out = _join(stack.pop(), b, op[1])
         else:
-            stack.append({(): 1})
+            out = {(): 1}
+        if store is not None:
+            store.put(plan.keys[i], out)
+        stack.append(out)
+        i += 1
     return stack.pop()
 
 
 # === counting ===
 
 
-def hom_count(pattern: Graph, host: HostGraph) -> int:
+def hom_count(pattern: Graph, host: HostGraph,
+              store: Optional[_SubplanStore] = None) -> int:
     """Exact number of homomorphisms pattern -> host.
 
     Disconnected patterns multiply over connected components.  No resource
-    guard here; callers protect themselves with check_width_guard.
+    guard here; callers protect themselves with check_width_guard.  A
+    store (term_counts_for_host passes one per host) shares sub-plan
+    tables between the terms of one row; every component runs so that
+    the store's take counts hold.
     """
     if isinstance(pattern, AnchoredGraph):
         raise TypeError("use hom_count_node for anchored patterns")
@@ -259,18 +470,18 @@ def hom_count(pattern: Graph, host: HostGraph) -> int:
         return 0
     total = 1
     for plan, _ in _component_plans(pattern, None):
-        total *= _run_plan(plan, host).get((), 0)
-        if total == 0:
-            return 0
+        total *= _run_plan(plan, host, store).get((), 0)
     return total
 
 
-def hom_count_node(pattern: AnchoredGraph, host: HostGraph) -> CountVector:
+def hom_count_node(pattern: AnchoredGraph, host: HostGraph,
+                   store: Optional[_SubplanStore] = None) -> CountVector:
     """Homomorphism counts keyed by the image of the anchor.
 
     Entry v counts homomorphisms sending the anchor to host vertex v, so
     the entries sum to hom_count of the underlying pattern.  The anchor's
     component contributes the vector; remaining components scale it.
+    The store is as for hom_count.
     """
     if not isinstance(pattern, AnchoredGraph):
         raise TypeError("hom_count_node needs an AnchoredGraph")
@@ -282,7 +493,7 @@ def hom_count_node(pattern: AnchoredGraph, host: HostGraph) -> CountVector:
     rest = 1
     vec: list[int] = []
     for plan, anchored in _component_plans(pattern.graph, pattern.anchor):
-        table = _run_plan(plan, host)
+        table = _run_plan(plan, host, store)
         if anchored:
             vec = [table.get((w,), 0) for w in range(host.n)]
         else:
@@ -292,11 +503,7 @@ def hom_count_node(pattern: AnchoredGraph, host: HostGraph) -> CountVector:
 
 def plan_width(pattern: PatternLike) -> int:
     """Width of the compiled plan for a pattern (max over components)."""
-    if isinstance(pattern, AnchoredGraph):
-        plans = _component_plans(pattern.graph, pattern.anchor)
-    else:
-        plans = _component_plans(pattern, None)
-    return max((plan.width for plan, _ in plans), default=-1)
+    return max((plan.width for plan, _ in _term_plans(pattern)), default=-1)
 
 
 def check_width_guard(pattern: PatternLike, host_n: int,
@@ -343,19 +550,21 @@ def _combine(counts: Sequence, refs: Sequence[Sequence[tuple[int, Fraction]]],
     `counts` holds one entry per term (an int at graph level, a tuple over
     the host's n vertices at node level); `refs` lists (term index,
     coefficient) pairs per parameter.  Returns a Fraction per parameter,
-    or at node level a tuple of n Fractions.
+    or at node level a tuple of n Fractions.  Node-level sums run over
+    integer numerators on the parameter's common denominator, so only
+    the final value per vertex is a Fraction.
     """
     if level == GRAPH_LEVEL:
         return [sum((coeff * counts[i] for i, coeff in ref), Fraction(0))
                 for ref in refs]
     out = []
     for ref in refs:
-        acc = [Fraction(0)] * n
+        den = lcm(*(coeff.denominator for _, coeff in ref))
+        acc = [0] * n
         for i, coeff in ref:
-            for v, cnt in enumerate(counts[i]):
-                if cnt:
-                    acc[v] += coeff * cnt
-        out.append(tuple(acc))
+            num = coeff.numerator * (den // coeff.denominator)
+            acc = [a + num * cnt for a, cnt in zip(acc, counts[i])]
+        out.append(tuple(Fraction(a, den) for a in acc))
     return out
 
 
@@ -412,14 +621,20 @@ def dedupe_terms(
 
 def term_counts_for_host(terms: Sequence[PatternLike], host: HostGraph,
                          allow_wide: bool = False) -> list:
-    """Counts of every term on one host; ints or per-vertex tuples."""
+    """Counts of every term on one host; ints or per-vertex tuples.
+
+    Terms are counted in order, each through hom_count or hom_count_node,
+    with one sub-plan store for the row: a sub-plan that several terms'
+    plans contain is computed once on this host.
+    """
+    store = _SubplanStore(_shared_subplans(tuple(terms)))
     row = []
     for t in terms:
         check_width_guard(t, host.n, allow_wide)
         if isinstance(t, AnchoredGraph):
-            row.append(hom_count_node(t, host).values)
+            row.append(hom_count_node(t, host, store).values)
         else:
-            row.append(hom_count(t, host))
+            row.append(hom_count(t, host, store))
     return row
 
 

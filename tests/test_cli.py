@@ -384,6 +384,21 @@ def test_config_rejects_bad_values(capsys, tmp_path, key, value):
     assert f"'{key}'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["count", "features"])
+def test_config_bad_pe_dim_fails_both_commands(capsys, tmp_path, command):
+    ds = write_dataset(tmp_path)
+    cfg = tmp_path / "enc.json"
+    doc = {"dataset": str(ds), "patterns": ["C4"], "encoding": "log1p"}
+    cfg.write_text(json.dumps(dict(doc, pe_dim=3)))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "pe_dim must be a positive even integer" in err
+    # valid encoding settings still drive both commands from one file
+    cfg.write_text(json.dumps(dict(doc, pe_dim=4)))
+    code, out, _ = run(capsys, command, "--config", str(cfg))
+    assert code == 0 and out
+
+
 # ------------------------------------------------------------------- check
 
 def test_check_command(capsys):

@@ -19,6 +19,7 @@ from motifbasis.homcount import (
     HostGraph,
     WidthGuardError,
     _compile_ops,
+    _component_plans,
     _run_plan,
     batch_evaluate,
     batch_term_counts,
@@ -137,6 +138,25 @@ def test_plan_independence():
         plan = _compile_ops(f, to_nice(trivial))
         table = _run_plan(plan, h)
         assert sum(table.values()) == hom_count(f, h)
+
+
+def test_plan_quality_on_anchored_c8_basis():
+    # neighbour-first introduces: only the first introduce above a leaf
+    # ranges over every host vertex (sorted order gave 258 for 220 leaves);
+    # fused ops shrink the 1620 ops that plain nice-decomposition ops take
+    ops = leaves = unfiltered = 0
+    keys = set()
+    for t in anchored_spasm_of(named_pattern("C8@0")).terms:
+        for plan, _ in _component_plans(t.graph.graph, t.graph.anchor):
+            ops += len(plan.ops)
+            leaves += sum(op[0] == "leaf" for op in plan.ops)
+            unfiltered += sum(op[0] == "intro" and not op[2]
+                              for op in plan.ops)
+            keys.update(plan.keys)
+    assert leaves == 220
+    assert unfiltered == leaves
+    assert ops < 1620
+    assert len(keys) < ops
 
 
 def test_plan_width_and_guard():

@@ -4,7 +4,10 @@ Every evaluation entry point (evaluate, batch_evaluate, compute_features
 and their node-level forms) goes through one combine step, and every
 graph constructor and dataset loader goes through one edge validator.
 These tests drive each entry point with seeded random inputs against the
-brute-force oracle, and each constructor with the same bad edges.
+brute-force oracle, and each constructor with the same bad edges.  One
+row's terms are counted through one sub-plan store; the shared-executor
+tests check those rows against per-term counts without a store and
+against the oracle, and that the store is empty after every row.
 """
 
 import random
@@ -14,17 +17,33 @@ import pytest
 
 from motifbasis.cli import build_combination
 from motifbasis.features import Dataset, DatasetError, compute_features, load_dataset
+from motifbasis import homcount
 from motifbasis.graphs import (
     AnchoredGraph,
     EdgeError,
     Graph,
     anchored_automorphism_count,
     automorphism_count,
+    disjoint_union,
     enumerate_connected_graphs,
     named_pattern,
 )
-from motifbasis.homcount import HostGraph, batch_evaluate, evaluate, evaluate_node
-from motifbasis.oracle import brute_indsub, brute_sub, brute_sub_node
+from motifbasis.homcount import (
+    HostGraph,
+    batch_evaluate,
+    evaluate,
+    evaluate_node,
+    hom_count,
+    hom_count_node,
+    term_counts_for_host,
+)
+from motifbasis.oracle import (
+    brute_hom,
+    brute_hom_node,
+    brute_indsub,
+    brute_sub,
+    brute_sub_node,
+)
 from motifbasis.spasm import (
     GRAPH_LEVEL,
     NODE_LEVEL,
@@ -112,6 +131,82 @@ def test_node_hom_values_sum_to_graph_value():
         for h, [vec], [value] in zip(host_graphs, node_rows, graph_rows):
             assert sum(vec) == value == evaluate(graph_c, h)
             assert sum(evaluate_node(node_c, h)) == value
+
+
+# === one shared executor ===
+
+
+def term_lists(seed: int, count: int):
+    """(terms, hosts) pairs: the spasm or anchored spasm of a random
+    connected pattern on at most 5 vertices, plus disjoint unions that
+    repeat a component of at most 3 vertices, and three hosts on at most 7.
+    """
+    rng = random.Random(seed)
+    small = [p for p in PATTERNS if p.n <= 3]
+    for _ in range(count):
+        pattern = rng.choice(PATTERNS)
+        g, h = rng.choice(small), rng.choice(small)
+        unions = [disjoint_union(g, g), disjoint_union(g, h),
+                  disjoint_union(h, g)]
+        if rng.random() < 0.5:
+            terms = [t.graph for t in spasm_of(pattern).terms] + unions
+        else:
+            ap = AnchoredGraph(pattern, rng.randrange(pattern.n))
+            terms = [t.graph for t in anchored_spasm_of(ap).terms]
+            terms += [AnchoredGraph(u, rng.randrange(u.n)) for u in unions]
+        yield terms, [random_host(rng) for _ in range(3)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shared_rows_match_single_terms_and_oracle(seed, monkeypatch):
+    stores = []
+
+    def recording(count):
+        def wrapped(pattern, host, store=None):
+            stores.append(store)
+            return count(pattern, host, store)
+        return wrapped
+
+    monkeypatch.setattr(homcount, "hom_count", recording(hom_count))
+    monkeypatch.setattr(homcount, "hom_count_node", recording(hom_count_node))
+    shared = 0
+    for terms, hosts in term_lists(200 + seed, 8):
+        for h in hosts:
+            host = HostGraph.from_graph(h)
+            stores.clear()
+            row = term_counts_for_host(terms, host)
+            assert len(stores) == len(terms)
+            assert len({id(s) for s in stores}) == 1 and stores[0] is not None
+            assert stores[0].live == {}  # every table dropped after use
+            shared += bool(stores[0].reuses)
+            alone, want = [], []
+            for t in terms:
+                if isinstance(t, AnchoredGraph):
+                    alone.append(hom_count_node(t, host).values)
+                    want.append(tuple(brute_hom_node(t, h)))
+                else:
+                    alone.append(hom_count(t, host))
+                    want.append(brute_hom(t, h))
+            assert row == alone == want
+    assert shared  # the lists above do share sub-plans
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_zipped_shared_batches_stay_apart(seed):
+    # each stream's rows share sub-plans across its own params, and the
+    # two streams overlap in one param, consumed interleaved
+    rng = random.Random(300 + seed)
+    aps = [AnchoredGraph(p, rng.randrange(p.n))
+           for p in rng.sample(PATTERNS, 3)]
+    hosts = [HostGraph.from_graph(random_host(rng)) for _ in range(4)]
+    for c in ([spasm_of(ap.graph) for ap in aps],
+              [anchored_spasm_of(ap) for ap in aps]):
+        a, b = [c[0], c[1]], [c[2], c[0]]
+        apart = (list(batch_evaluate(a, hosts)),
+                 list(batch_evaluate(b, hosts)))
+        together = tuple(zip(*zip(batch_evaluate(a, hosts),
+                                  batch_evaluate(b, hosts))))
+        assert tuple(map(list, together)) == apart
 
 
 # === one edge validator ===

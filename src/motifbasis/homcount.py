@@ -1,9 +1,9 @@
 """The counting engine: exact homomorphism counts via tree-decomposition DP.
 
-A pattern is compiled once, per connected component, into a plan: a
-post-order sequence of ops over a nice tree decomposition, each op turning
-the tables of its children (assignment tuple -> count) into its own.  The
-compiler reorders each introduce run neighbour-first, so only the first
+A pattern is compiled once, per connected component, into a plan over a
+nice tree decomposition: a DAG of ops, each turning the tables of its
+child nodes (assignment tuple -> count) into its own.  The compiler
+reorders each introduce run neighbour-first, so only the first
 introduce after a leaf ranges over every host vertex and the others are
 filtered through host adjacency (two or more bag neighbours intersect
 their frozensets).  It also fuses each run of forgets, as one
@@ -15,12 +15,15 @@ O(n^(width+1)) table entries in the worst case, so plans are cached per
 pattern and guarded by an explicit width check before large hosts.
 
 Spasm terms are quotients of one pattern, so their plans share pieces.
-Every op carries the key of its sub-plan, the op sequence that fully
+Nodes are hash-consed: equal sub-plans are one node, which fully
 determines its table on a host.  `term_counts_for_host` counts a row's
-terms in order with one sub-plan store per host: a sub-plan that two or
-more consumers in the row need is computed once, kept, and dropped after
-its last consumer takes it.  The reuse counts come from replaying the
-row's plans without a host, once per term list.
+terms in order with one sub-plan store per host, and the executor asks
+the store for a node before it recurses into the node's children, so
+the largest stored sub-plan is always the one used.  A node's take
+count, the number of times the row asks for it, is read off the DAG
+once per row of roots: once per root occurrence, plus once per
+reference from each distinct parent.  A table asked for more than once
+is kept after it is computed and dropped at its last take.
 
 Everything is arbitrary-precision integer arithmetic; floats never appear.
 Disconnected patterns multiply over components; anchored counts keep the
@@ -142,25 +145,25 @@ class CountVector:
 # === plan compilation ===
 
 
-# (op, keys of its children) -> small int id: equal ids mean equal sub-plan
-# op sequences, and store lookups hash an int.  Grows with the plan cache.
-_SUBPLAN_IDS: dict[tuple, int] = {}
+class _Node:
+    """One op of a plan over the tables of its child nodes.
 
-
-@dataclass(frozen=True)
-class _Plan:
-    """Post-order ops over assignment tuples in sorted-bag slot order.
-
-    keys[i] is the id of op i's sub-plan (the ops from the first op of its
-    subtree up to op i), which fully determines op i's table on a given
-    host; spans[i] lists (last op, key) for the sub-plans that begin at op
-    i, largest first, leaves excluded.
+    Nodes are hash-consed by `_node`: equal (op, children) give the same
+    object, so equal sub-plans are one node, which fully determines its
+    table on a given host.  Nodes hash and compare by identity.
     """
 
-    ops: tuple
-    width: int
-    keys: tuple[int, ...]
-    spans: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = ("op", "kids")
+
+    def __init__(self, op: tuple, kids: tuple["_Node", ...]):
+        self.op = op
+        self.kids = kids
+
+
+@lru_cache(maxsize=None)
+def _node(op: tuple, kids: tuple[_Node, ...]) -> _Node:
+    """The one node for (op, kids); the cache is the intern table."""
+    return _Node(op, kids)
 
 
 def _intro_order(pattern: Graph, bag: Sequence[int],
@@ -181,88 +184,66 @@ def _intro_order(pattern: Graph, bag: Sequence[int],
     return order
 
 
-def _compile_ops(pattern: Graph, ntd: NiceTreeDecomposition) -> _Plan:
-    """Compile a nice decomposition into post-order ops.
+def _compile_ops(pattern: Graph, ntd: NiceTreeDecomposition) -> _Node:
+    """Compile a nice decomposition into a sub-plan DAG; returns its root.
 
-    ("leaf",) pushes the unit table, ("join", keep) multiplies matching
-    assignments, and ("intro", ins, nbrs, keep) puts each candidate image
-    at slot `ins`: any host vertex without bag neighbours, else the common
-    neighbours of the images at slots `nbrs`.  Each introduce run is
-    reordered neighbour-first.  Each forget run becomes one projection
-    fused into the op below it as `keep`, the slots that stay (None when
-    nothing is forgotten), so the op writes straight into the projected
-    key; an introduce whose `keep` drops the new slot only multiplies
-    each count by its number of candidates.
+    Tables map assignment tuples, in sorted-bag slot order, to counts.
+    ("leaf",) is the unit table, ("join", keep) multiplies matching
+    assignments of its two children, and ("intro", ins, nbrs, keep) puts
+    each candidate image at slot `ins`: any host vertex without bag
+    neighbours, else the common neighbours of the images at slots `nbrs`.
+    Each introduce run is reordered neighbour-first.  Each forget run
+    becomes one projection fused into the op below it as `keep`, the
+    slots that stay (None when nothing is forgotten), so the op writes
+    straight into the projected key; an introduce whose `keep` drops the
+    new slot only multiplies each count by its number of candidates.
     """
-    ops: list[tuple] = []
 
-    def build(i: int) -> tuple[int, ...]:
-        """Emit the ops of node i's subtree; returns its bag, sorted."""
+    def build(i: int) -> tuple[_Node, tuple[int, ...]]:
+        """Node i's sub-plan and its bag, sorted."""
         kind = ntd.kinds[i]
         if kind == "leaf":
-            ops.append(("leaf",))
-            return ()
+            return _node(("leaf",), ()), ()
         if kind == "join":
-            a, b = ntd.children[i]
-            bag = build(a)
-            build(b)
-            ops.append(("join", None))
-            return bag
+            (a, bag), (b, _) = map(build, ntd.children[i])
+            return _node(("join", None), (a, b)), bag
         run = []
         while ntd.kinds[i] == kind:
             run.append(ntd.vertex[i])
             i = ntd.children[i][0]
-        bag = build(i)
+        node, bag = build(i)
         if kind == "forget":  # below it is an introduce or a join
             keep = tuple(s for s, u in enumerate(bag) if u not in run)
-            ops[-1] = ops[-1][:-1] + (keep,)
-            return tuple(bag[s] for s in keep)
+            return (_node(node.op[:-1] + (keep,), node.kids),
+                    tuple(bag[s] for s in keep))
         for v in _intro_order(pattern, bag, run):
             adj = pattern.neighbors(v)
             nbrs = tuple(s for s, u in enumerate(bag) if u in adj)
             bag = tuple(sorted(bag + (v,)))
-            ops.append(("intro", bag.index(v), nbrs, None))
-        return bag
+            node = _node(("intro", bag.index(v), nbrs, None), (node,))
+        return node, bag
 
-    build(ntd.root)
-    keys: list[int] = []
-    spans: list[list[tuple[int, int]]] = [[] for _ in ops]
-    pending: list[tuple[int, int]] = []  # (first op, key) of each subtree
-    for i, op in enumerate(ops):
-        if op[0] == "leaf":
-            first, kids = i, ()
-        elif op[0] == "join":
-            _, b = pending.pop()
-            first, a = pending.pop()
-            kids = (a, b)
-        else:
-            first, c = pending.pop()
-            kids = (c,)
-        key = _SUBPLAN_IDS.setdefault((op, kids), len(_SUBPLAN_IDS))
-        pending.append((first, key))
-        keys.append(key)
-        if kids:
-            spans[first].insert(0, (i, key))
-    return _Plan(tuple(ops), ntd.width, tuple(keys),
-                 tuple(map(tuple, spans)))
+    return build(ntd.root)[0]
 
 
 @lru_cache(maxsize=None)
-def _component_plans(pattern: Graph,
-                     anchor: Optional[int]) -> tuple[tuple[_Plan, bool], ...]:
-    """One (plan, holds the anchor) pair per connected component, in
-    component order: the one place a pattern is split and compiled.  The
-    anchor's component is planned with the anchor at its root."""
+def _component_plans(
+        pattern: Graph,
+        anchor: Optional[int]) -> tuple[tuple[_Node, bool, int], ...]:
+    """One (root, holds the anchor, width) triple per connected component,
+    in component order: the one place a pattern is split and compiled.
+    The anchor's component is planned with the anchor at its root."""
     out = []
     for vs in component_vertex_sets(pattern):
         comp = induced_subgraph(pattern, vs)
         a = vs.index(anchor) if anchor in vs else None
         _, td = treewidth_exact(comp)
-        out.append((_compile_ops(comp, to_nice(td, a)), a is not None))
+        ntd = to_nice(td, a)
+        out.append((_compile_ops(comp, ntd), a is not None, ntd.width))
     return tuple(out)
 
 
-def _term_plans(t: PatternLike) -> tuple[tuple[_Plan, bool], ...]:
+def _term_plans(t: PatternLike) -> tuple[tuple[_Node, bool, int], ...]:
     if isinstance(t, AnchoredGraph):
         return _component_plans(t.graph, t.anchor)
     return _component_plans(t, None)
@@ -272,65 +253,37 @@ def _term_plans(t: PatternLike) -> tuple[tuple[_Plan, bool], ...]:
 
 
 @lru_cache(maxsize=64)
-def _shared_subplans(terms: tuple[PatternLike, ...]) -> dict[int, int]:
-    """Sub-plan key -> number of times a later plan reuses its table, for
-    every sub-plan worth keeping when the terms are counted in order.
+def _requests(roots: tuple[_Node, ...]) -> Counter:
+    """Node -> how often running `roots` in order asks for its table.
 
-    This replays what `_run_plan` does with a store, without a host: a
-    sub-plan that occurs twice or more is kept once computed, and each op
-    first tries the largest kept sub-plan that begins at it.  Keys that
-    no later op reuses are left out, so they are never stored.
+    Each root occurrence asks once.  Every reachable node is computed
+    once, on its first request, and then asks once for each reference
+    to a child, so each distinct parent adds its references.
     """
-    plans = [plan for t in terms for plan, _ in _term_plans(t)]
-    seen = Counter(key for plan in plans
-                   for key, op in zip(plan.keys, plan.ops) if op[0] != "leaf")
-    kept: set[int] = set()
-    reuses: Counter[int] = Counter()
-    for plan in plans:
-        i = 0
-        while i < len(plan.ops):
-            hit = next((sp for sp in plan.spans[i] if sp[1] in kept), None)
-            if hit is not None:
-                reuses[hit[1]] += 1
-                i = hit[0] + 1
-                continue
-            if seen[plan.keys[i]] > 1:
-                kept.add(plan.keys[i])
-            i += 1
-    return reuses
+    need = Counter(roots)
+    todo, seen = list(need), set(need)
+    while todo:
+        for kid in todo.pop().kids:
+            need[kid] += 1
+            if kid not in seen:
+                seen.add(kid)
+                todo.append(kid)
+    return need
 
 
 class _SubplanStore:
-    """Shared sub-plan tables of one host, for one row's term list.
+    """Sub-plan tables of one host, for one row's roots.
 
-    A table is put when the first plan computes it and dropped when its
-    last consumer takes it, so a row that counts every term in order
-    leaves the store empty.
+    A table asked for more than once is kept after it is computed, with
+    the number of requests still to come, and dropped at the last one,
+    so a row that runs all its roots in order leaves the store empty.
     """
 
-    __slots__ = ("reuses", "live")
+    __slots__ = ("takes", "live")
 
-    def __init__(self, reuses: dict[int, int]):
-        self.reuses = reuses
-        self.live: dict[int, list] = {}  # key -> [table, takes left]
-
-    def take(self, spans: Sequence[tuple[int, int]]):
-        """(last op, table) for the largest live sub-plan among `spans`,
-        or None."""
-        live = self.live
-        for last, key in spans:
-            entry = live.get(key)
-            if entry is not None:
-                entry[1] -= 1
-                if not entry[1]:
-                    del live[key]
-                return last, entry[0]
-        return None
-
-    def put(self, key: int, table: dict) -> None:
-        n = self.reuses.get(key)
-        if n:
-            self.live[key] = [table, n]
+    def __init__(self, roots: Iterable[_Node]):
+        self.takes = _requests(tuple(roots))
+        self.live: dict[_Node, list] = {}  # node -> [table, takes left]
 
 
 # === plan execution ===
@@ -415,38 +368,37 @@ def _join(a: dict, b: dict, keep: Optional[tuple[int, ...]]) -> dict:
     return out
 
 
-def _run_plan(plan: _Plan, host: HostGraph,
+def _run_plan(node: _Node, host: HostGraph,
               store: Optional[_SubplanStore] = None) -> dict:
-    """Execute a plan; returns the root table (assignment tuple -> count).
+    """Evaluate a sub-plan on a host; returns its table (assignment tuple
+    -> count).
 
-    With a store, each op first takes the largest stored sub-plan that
-    begins at it and skips that sub-plan's ops, and each computed table
-    the store wants is put there.
+    The store is asked for the node first and its children only when it
+    is not there, so the largest stored sub-plan is always the one used.
+    Without a store, one is made for this node alone.
     """
-    ops = plan.ops
-    stack: list[dict] = []
-    i = 0
-    while i < len(ops):
-        if store is not None:
-            hit = store.take(plan.spans[i])
-            if hit is not None:
-                i = hit[0] + 1
-                stack.append(hit[1])
-                continue
-        op = ops[i]
-        tag = op[0]
-        if tag == "intro":
-            out = _intro(stack.pop(), op[1], op[2], op[3], host)
-        elif tag == "join":
-            b = stack.pop()
-            out = _join(stack.pop(), b, op[1])
-        else:
-            out = {(): 1}
-        if store is not None:
-            store.put(plan.keys[i], out)
-        stack.append(out)
-        i += 1
-    return stack.pop()
+    if store is None:
+        store = _SubplanStore((node,))
+    live = store.live
+    entry = live.get(node)
+    if entry is not None:
+        entry[1] -= 1
+        if not entry[1]:
+            del live[node]
+        return entry[0]
+    op, kids = node.op, node.kids
+    if op[0] == "intro":
+        table = _intro(_run_plan(kids[0], host, store), op[1], op[2], op[3],
+                       host)
+    elif op[0] == "join":
+        table = _join(_run_plan(kids[0], host, store),
+                      _run_plan(kids[1], host, store), op[1])
+    else:
+        table = {(): 1}
+    left = store.takes[node] - 1
+    if left > 0:
+        live[node] = [table, left]
+    return table
 
 
 # === counting ===
@@ -469,9 +421,13 @@ def hom_count(pattern: Graph, host: HostGraph,
     if host.n == 0:
         return 0
     total = 1
-    for plan, _ in _component_plans(pattern, None):
-        total *= _run_plan(plan, host, store).get((), 0)
+    for root, _, _ in _component_plans(pattern, None):
+        total *= _run_plan(root, host, store).get((), 0)
     return total
+
+
+# a CountVector's key, built once per pattern rather than once per host
+_pattern_key = lru_cache(maxsize=None)(canonical_key)
 
 
 def hom_count_node(pattern: AnchoredGraph, host: HostGraph,
@@ -487,13 +443,13 @@ def hom_count_node(pattern: AnchoredGraph, host: HostGraph,
         raise TypeError("hom_count_node needs an AnchoredGraph")
     if pattern.n < 1:
         raise ValueError("pattern needs at least one vertex")
-    key = canonical_key(pattern)
+    key = _pattern_key(pattern)
     if host.n == 0:
         return CountVector(key, ())
     rest = 1
     vec: list[int] = []
-    for plan, anchored in _component_plans(pattern.graph, pattern.anchor):
-        table = _run_plan(plan, host, store)
+    for root, anchored, _ in _component_plans(pattern.graph, pattern.anchor):
+        table = _run_plan(root, host, store)
         if anchored:
             vec = [table.get((w,), 0) for w in range(host.n)]
         else:
@@ -503,7 +459,7 @@ def hom_count_node(pattern: AnchoredGraph, host: HostGraph,
 
 def plan_width(pattern: PatternLike) -> int:
     """Width of the compiled plan for a pattern (max over components)."""
-    return max((plan.width for plan, _ in _term_plans(pattern)), default=-1)
+    return max((w for _, _, w in _term_plans(pattern)), default=-1)
 
 
 def check_width_guard(pattern: PatternLike, host_n: int,
@@ -627,7 +583,7 @@ def term_counts_for_host(terms: Sequence[PatternLike], host: HostGraph,
     with one sub-plan store for the row: a sub-plan that several terms'
     plans contain is computed once on this host.
     """
-    store = _SubplanStore(_shared_subplans(tuple(terms)))
+    store = _SubplanStore(root for t in terms for root, _, _ in _term_plans(t))
     row = []
     for t in terms:
         check_width_guard(t, host.n, allow_wide)

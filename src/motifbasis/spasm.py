@@ -118,6 +118,31 @@ def _assemble(kind: str, level: str,
     return LinearCombination(kind, level, terms, provenance)
 
 
+def _accumulate(acc: dict, key: str, g: PatternLike, coeff) -> None:
+    """Add coeff to the running sum under key, which now names graph g."""
+    prev = acc.get(key)
+    acc[key] = (g, coeff if prev is None else prev[1] + coeff)
+
+
+def _canonical(g: PatternLike) -> PatternLike:
+    if isinstance(g, AnchoredGraph):
+        return canonical_form_anchored(g)[0]
+    return canonical_form(g)[0]
+
+
+def _g6_key(g: PatternLike) -> str:
+    """canonical_key of a graph that is already in canonical form."""
+    if isinstance(g, AnchoredGraph):
+        return f"{format_graph6(g.graph)}@{g.anchor}"
+    return format_graph6(g)
+
+
+def _aut(g: PatternLike) -> int:
+    if isinstance(g, AnchoredGraph):
+        return anchored_automorphism_count(g)
+    return automorphism_count(g)
+
+
 # === subgraph-count expansions ===
 
 _FACT = [factorial(i) for i in range(16)]
@@ -131,9 +156,28 @@ def _mobius_weight(p) -> int:
     return w
 
 
-def _check_pattern(pattern: Graph) -> None:
+def _check_pattern(pattern: PatternLike) -> None:
     if pattern.n < 1:
         raise ValueError("pattern needs at least one vertex")
+
+
+@lru_cache(maxsize=None)
+def _quotient_sum(pattern: PatternLike) -> tuple[tuple[PatternLike, int], ...]:
+    """Inj(pattern, .) over Hom counts, for a canonical pattern: one
+    (canonical quotient, summed Moebius weight) pair per isomorphism class
+    of loop-free quotients, anchor-preserving for an AnchoredGraph.
+    Classes whose weights cancel are left out."""
+    anchored = isinstance(pattern, AnchoredGraph)
+    acc: dict[str, tuple[PatternLike, int]] = {}
+    for p in enumerate_partitions(pattern.n):
+        if anchored:
+            q, had_loop = quotient_anchored(pattern, p)
+        else:
+            q, had_loop = quotient(pattern, p)
+        if not had_loop:
+            cq = _canonical(q)
+            _accumulate(acc, _g6_key(cq), cq, _mobius_weight(p))
+    return tuple((g, w) for g, w in acc.values() if w)
 
 
 def spasm_of(pattern: Graph) -> LinearCombination:
@@ -146,30 +190,7 @@ def spasm_of(pattern: Graph) -> LinearCombination:
     if isinstance(pattern, AnchoredGraph):
         raise TypeError("use anchored_spasm_of for anchored patterns")
     _check_pattern(pattern)
-    cp, _ = canonical_form(pattern)
-    return _spasm_cached(cp)
-
-
-@lru_cache(maxsize=None)
-def _spasm_cached(pattern: Graph) -> LinearCombination:
-    acc: dict[str, list] = {}
-    for p in enumerate_partitions(pattern.n):
-        q, had_loop = quotient(pattern, p)
-        if had_loop:
-            continue
-        cq, _ = canonical_form(q)
-        key = format_graph6(cq)
-        ent = acc.get(key)
-        if ent is None:
-            acc[key] = [cq, _mobius_weight(p)]
-        else:
-            ent[1] += _mobius_weight(p)
-    aut = automorphism_count(pattern)
-    return _assemble(
-        HOM_BASIS, GRAPH_LEVEL,
-        {k: (g, Fraction(w, aut)) for k, (g, w) in acc.items()},
-        provenance=f"Sub[{format_graph6(pattern)}]",
-    )
+    return _sub_expansion(_canonical(pattern))
 
 
 def anchored_spasm_of(pattern: AnchoredGraph) -> LinearCombination:
@@ -181,29 +202,19 @@ def anchored_spasm_of(pattern: AnchoredGraph) -> LinearCombination:
     if not isinstance(pattern, AnchoredGraph):
         raise TypeError("anchored_spasm_of needs an AnchoredGraph")
     _check_pattern(pattern.graph)
-    cp, _ = canonical_form_anchored(pattern)
-    return _anchored_spasm_cached(cp)
+    return _sub_expansion(_canonical(pattern))
 
 
 @lru_cache(maxsize=None)
-def _anchored_spasm_cached(pattern: AnchoredGraph) -> LinearCombination:
-    acc: dict[str, list] = {}
-    for p in enumerate_partitions(pattern.n):
-        q, had_loop = quotient_anchored(pattern, p)
-        if had_loop:
-            continue
-        cq, _ = canonical_form_anchored(q)
-        key = f"{format_graph6(cq.graph)}@{cq.anchor}"
-        ent = acc.get(key)
-        if ent is None:
-            acc[key] = [cq, _mobius_weight(p)]
-        else:
-            ent[1] += _mobius_weight(p)
-    aut = anchored_automorphism_count(pattern)
+def _sub_expansion(pattern: PatternLike) -> LinearCombination:
+    """Sub = Inj / Aut for a canonical pattern, at graph level for a
+    Graph and at node level for an AnchoredGraph."""
+    aut = _aut(pattern)
+    level = NODE_LEVEL if isinstance(pattern, AnchoredGraph) else GRAPH_LEVEL
     return _assemble(
-        HOM_BASIS, NODE_LEVEL,
-        {k: (g, Fraction(w, aut)) for k, (g, w) in acc.items()},
-        provenance=f"Sub[{format_graph6(pattern.graph)}@{pattern.anchor}]",
+        HOM_BASIS, level,
+        {_g6_key(g): (g, Fraction(w, aut)) for g, w in _quotient_sum(pattern)},
+        provenance=f"Sub[{_g6_key(pattern)}]",
     )
 
 
@@ -215,38 +226,12 @@ def inj_expansion(pattern: PatternLike) -> LinearCombination:
     injective count with anchor-fixing automorphisms factored in the same
     way.
     """
-    if isinstance(pattern, AnchoredGraph):
-        _check_pattern(pattern.graph)
-        cp, _ = canonical_form_anchored(pattern)
-        base = _anchored_spasm_cached(cp)
-        aut = anchored_automorphism_count(cp)
-        label = f"Inj[{format_graph6(cp.graph)}@{cp.anchor}]"
-    else:
-        _check_pattern(pattern)
-        cp, _ = canonical_form(pattern)
-        base = _spasm_cached(cp)
-        aut = automorphism_count(cp)
-        label = f"Inj[{format_graph6(cp)}]"
+    _check_pattern(pattern)
+    cp = _canonical(pattern)
+    base = _sub_expansion(cp)
+    aut = _aut(cp)
     terms = tuple(BasisTerm(t.graph, t.coefficient * aut) for t in base.terms)
-    return LinearCombination(HOM_BASIS, base.level, terms, label)
-
-
-@lru_cache(maxsize=None)
-def _inj_integer_terms(pattern: Graph) -> tuple[tuple[Graph, int], ...]:
-    """Raw quotient sum for a canonical pattern: (graph, integer weight)."""
-    acc: dict[str, list] = {}
-    for p in enumerate_partitions(pattern.n):
-        q, had_loop = quotient(pattern, p)
-        if had_loop:
-            continue
-        cq, _ = canonical_form(q)
-        key = format_graph6(cq)
-        ent = acc.get(key)
-        if ent is None:
-            acc[key] = [cq, _mobius_weight(p)]
-        else:
-            ent[1] += _mobius_weight(p)
-    return tuple((g, w) for g, w in acc.values() if w)
+    return LinearCombination(HOM_BASIS, base.level, terms, f"Inj[{_g6_key(cp)}]")
 
 
 # === induced-subgraph expansions ===
@@ -286,27 +271,19 @@ def _indsub_cached(pattern: Graph) -> LinearCombination:
     non_edges = [e for e in combinations(range(pattern.n), 2)
                  if not pattern.has_edge(*e)]
     # signed multiplicity of each supergraph class
-    signed: dict[str, list] = {}
+    signed: dict[str, tuple[Graph, int]] = {}
     for mask in range(1 << len(non_edges)):
         extra = [non_edges[i] for i in range(len(non_edges)) if mask >> i & 1]
         sup, _ = canonical_form(Graph(pattern.n, list(pattern.edges) + extra))
-        key = format_graph6(sup)
-        sign = -1 if mask.bit_count() % 2 else 1
-        ent = signed.get(key)
-        if ent is None:
-            signed[key] = [sup, sign]
-        else:
-            ent[1] += sign
+        _accumulate(signed, format_graph6(sup), sup,
+                    -1 if mask.bit_count() % 2 else 1)
     inv_aut = Fraction(1, automorphism_count(pattern))
     acc: dict[str, tuple[Graph, Fraction]] = {}
     for sup, count in signed.values():
         if count == 0:
             continue
-        for g, w in _inj_integer_terms(sup):
-            key = format_graph6(g)
-            prev = acc.get(key)
-            coeff = inv_aut * count * w
-            acc[key] = (g, coeff if prev is None else prev[1] + coeff)
+        for g, w in _quotient_sum(sup):
+            _accumulate(acc, format_graph6(g), g, inv_aut * count * w)
     return _assemble(HOM_BASIS, GRAPH_LEVEL, acc,
                      provenance=f"IndSub[{format_graph6(pattern)}]")
 
@@ -394,11 +371,8 @@ def indsub_property_param(k: int, prop: Callable[[Graph], bool],
     for key, mult in signed.items():
         if mult == 0:
             continue
-        for g, w in _inj_integer_terms(reps[key]):
-            gk = format_graph6(g)
-            prev = acc.get(gk)
-            coeff = mult * w
-            acc[gk] = (g, coeff if prev is None else prev[1] + coeff)
+        for g, w in _quotient_sum(reps[key]):
+            _accumulate(acc, format_graph6(g), g, mult * w)
     return _assemble(HOM_BASIS, GRAPH_LEVEL, acc,
                      provenance=label or f"IndSub[k={k}]")
 
@@ -426,14 +400,8 @@ def simplify(c: LinearCombination) -> LinearCombination:
     """
     acc: dict[str, tuple[PatternLike, Fraction]] = {}
     for t in c.terms:
-        if isinstance(t.graph, AnchoredGraph):
-            g = canonical_form_anchored(t.graph)[0]
-        else:
-            g = canonical_form(t.graph)[0]
-        key = canonical_key(g)
-        prev = acc.get(key)
-        acc[key] = (g, t.coefficient if prev is None
-                    else prev[1] + t.coefficient)
+        g = _canonical(t.graph)
+        _accumulate(acc, _g6_key(g), g, t.coefficient)
     return _assemble(c.basis_kind, c.level, acc, c.provenance)
 
 
@@ -495,8 +463,5 @@ def combination_from_json(doc: dict) -> LinearCombination:
         num, den = int(entry["num"]), int(entry["den"])
         if den == 0:
             raise ValueError("coefficient with zero denominator")
-        coeff = Fraction(num, den)
-        key = canonical_key(g)
-        prev = acc.get(key)
-        acc[key] = (g, coeff if prev is None else prev[1] + coeff)
+        _accumulate(acc, canonical_key(g), g, Fraction(num, den))
     return _assemble(kind, level, acc, provenance="")

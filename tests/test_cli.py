@@ -410,6 +410,14 @@ def test_check_command(capsys):
         assert f"{route}: " in out
 
 
+def test_check_acceptance_sweep(capsys):
+    # the sweep every engine change is checked with, run on each test pass
+    code, out, _ = run(capsys, "check", "--max-pattern", "5",
+                       "--max-host", "6", "--samples", "25", "--seed", "0")
+    assert code == 0
+    assert "all routes agree" in out
+
+
 def test_check_detects_mismatch(capsys, monkeypatch):
     route = dict(cli.CHECK_ROUTES)
     original = route["hom-graph"]

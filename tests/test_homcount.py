@@ -145,18 +145,21 @@ def test_plan_quality_on_anchored_c8_basis():
     # ranges over every host vertex (sorted order gave 258 for 220 leaves);
     # fused ops shrink the 1620 ops that plain nice-decomposition ops take
     ops = leaves = unfiltered = 0
-    keys = set()
+    nodes = set()
     for t in anchored_spasm_of(named_pattern("C8@0")).terms:
-        for plan, _ in _component_plans(t.graph.graph, t.graph.anchor):
-            ops += len(plan.ops)
-            leaves += sum(op[0] == "leaf" for op in plan.ops)
-            unfiltered += sum(op[0] == "intro" and not op[2]
-                              for op in plan.ops)
-            keys.update(plan.keys)
+        for root, _, _ in _component_plans(t.graph.graph, t.graph.anchor):
+            tree = [root]  # every op of the plan, shared sub-plans repeated
+            while tree:
+                node = tree.pop()
+                tree.extend(node.kids)
+                nodes.add(node)
+                ops += 1
+                leaves += node.op[0] == "leaf"
+                unfiltered += node.op[0] == "intro" and not node.op[2]
     assert leaves == 220
     assert unfiltered == leaves
     assert ops < 1620
-    assert len(keys) < ops
+    assert len(nodes) < ops
 
 
 def test_plan_width_and_guard():

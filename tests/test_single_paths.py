@@ -7,7 +7,8 @@ These tests drive each entry point with seeded random inputs against the
 brute-force oracle, and each constructor with the same bad edges.  One
 row's terms are counted through one sub-plan store; the shared-executor
 tests check those rows against per-term counts without a store and
-against the oracle, and that the store is empty after every row.
+against the oracle, that the store is empty after every row, and that
+each distinct sub-plan of a row is computed exactly once.
 """
 
 import random
@@ -178,7 +179,8 @@ def test_shared_rows_match_single_terms_and_oracle(seed, monkeypatch):
             assert len(stores) == len(terms)
             assert len({id(s) for s in stores}) == 1 and stores[0] is not None
             assert stores[0].live == {}  # every table dropped after use
-            shared += bool(stores[0].reuses)
+            shared += any(n > 1 and node.kids
+                          for node, n in stores[0].takes.items())
             alone, want = [], []
             for t in terms:
                 if isinstance(t, AnchoredGraph):
@@ -189,6 +191,34 @@ def test_shared_rows_match_single_terms_and_oracle(seed, monkeypatch):
                     want.append(brute_hom(t, h))
             assert row == alone == want
     assert shared  # the lists above do share sub-plans
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_each_subplan_computed_once_per_row(seed, monkeypatch):
+    # a table asked for twice or more is kept, never computed again
+    calls = []
+
+    def counting(kernel):
+        def wrapped(*args):
+            calls.append(kernel)
+            return kernel(*args)
+        return wrapped
+
+    monkeypatch.setattr(homcount, "_intro", counting(homcount._intro))
+    monkeypatch.setattr(homcount, "_join", counting(homcount._join))
+    for terms, hosts in term_lists(200 + seed, 8):
+        todo = [root for t in terms for root, _, _ in homcount._term_plans(t)]
+        nodes = set()
+        while todo:
+            node = todo.pop()
+            if node not in nodes:
+                nodes.add(node)
+                todo.extend(node.kids)
+        computed = sum(bool(node.kids) for node in nodes)  # leaves: no kernel
+        for h in hosts:
+            calls.clear()
+            term_counts_for_host(terms, HostGraph.from_graph(h))
+            assert len(calls) == computed
 
 
 @pytest.mark.parametrize("seed", range(2))

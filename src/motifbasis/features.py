@@ -17,12 +17,13 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
-from .graphs import AnchoredGraph, EdgeError, canonical_form, canonical_key
+from .graphs import AnchoredGraph, EdgeError, canonical_form
 from .homcount import (
     CountFailure,
     HostGraph,
     _combine,
     _hom_level,
+    _pattern_key,
     batch_term_counts,
     dedupe_terms,
 )
@@ -220,7 +221,7 @@ def _feature_columns(terms, params: Sequence[LinearCombination],
     names = []
     meta = []
     for t in terms:
-        key = canonical_key(t)
+        key = _pattern_key(t)
         anchor = 0 if isinstance(t, AnchoredGraph) else None
         names.append(f"hom:{key}")
         meta.append(("hom", key, anchor, ""))
@@ -402,6 +403,8 @@ def encode(m: FeatureMatrix, spec: EncodingSpec) -> FeatureMatrix:
 
 
 def _cell_text(x) -> str:
+    if type(x) is float:  # most cells; the ABC check below is slow
+        return repr(x)
     if x is None:
         return ""
     if isinstance(x, str):

@@ -10,7 +10,11 @@ their frozensets).  It also fuses each run of forgets, as one
 projection, into the introduce or join below it, which then writes
 straight into the projected key; an introduce whose new vertex is
 forgotten at once just multiplies each count by its number of
-candidates.  Running a plan costs
+candidates.  Each op runs as a kernel: a loop generated for its
+signature (the op and the key length of its child tables), compiled on
+the first run of such a node and cached, which unpacks keys in its
+`for` header, inlines the candidate expression and builds each output
+key as a tuple literal.  Running a plan costs
 O(n^(width+1)) table entries in the worst case, so plans are cached per
 pattern and guarded by an explicit width check before large hosts.
 
@@ -38,7 +42,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .decomp import NiceTreeDecomposition, to_nice, treewidth_exact
@@ -150,14 +153,18 @@ class _Node:
 
     Nodes are hash-consed by `_node`: equal (op, children) give the same
     object, so equal sub-plans are one node, which fully determines its
-    table on a given host.  Nodes hash and compare by identity.
+    table on a given host.  Nodes hash and compare by identity.  `size`
+    is the length of the keys of the node's table.
     """
 
-    __slots__ = ("op", "kids")
+    __slots__ = ("op", "kids", "size")
 
     def __init__(self, op: tuple, kids: tuple["_Node", ...]):
         self.op = op
         self.kids = kids
+        keep = op[-1] if kids else ()
+        self.size = (len(keep) if keep is not None
+                     else kids[0].size + (op[0] == "intro"))
 
 
 @lru_cache(maxsize=None)
@@ -199,28 +206,38 @@ def _compile_ops(pattern: Graph, ntd: NiceTreeDecomposition) -> _Node:
     new slot only multiplies each count by its number of candidates.
     """
 
-    def build(i: int) -> tuple[_Node, tuple[int, ...]]:
-        """Node i's sub-plan and its bag, sorted."""
+    def put(op: tuple, kids: tuple, bag: tuple[int, ...],
+            gone: Sequence[int]) -> tuple[_Node, tuple[int, ...]]:
+        """The node for op over kids with the vertices `gone` forgotten
+        from its bag, and its bag after forgetting."""
+        if not gone:
+            return _node(op + (None,), kids), bag
+        keep = tuple(s for s, u in enumerate(bag) if u not in gone)
+        return _node(op + (keep,), kids), tuple(bag[s] for s in keep)
+
+    def build(i: int,
+              gone: Sequence[int] = ()) -> tuple[_Node, tuple[int, ...]]:
+        """Node i's sub-plan with `gone` forgotten on top, and its bag."""
         kind = ntd.kinds[i]
         if kind == "leaf":
             return _node(("leaf",), ()), ()
         if kind == "join":
             (a, bag), (b, _) = map(build, ntd.children[i])
-            return _node(("join", None), (a, b)), bag
+            return put(("join",), (a, b), bag, gone)
         run = []
         while ntd.kinds[i] == kind:
             run.append(ntd.vertex[i])
             i = ntd.children[i][0]
-        node, bag = build(i)
         if kind == "forget":  # below it is an introduce or a join
-            keep = tuple(s for s, u in enumerate(bag) if u not in run)
-            return (_node(node.op[:-1] + (keep,), node.kids),
-                    tuple(bag[s] for s in keep))
-        for v in _intro_order(pattern, bag, run):
+            return build(i, run)
+        node, bag = build(i)
+        order = _intro_order(pattern, bag, run)
+        for v in order:
             adj = pattern.neighbors(v)
             nbrs = tuple(s for s, u in enumerate(bag) if u in adj)
             bag = tuple(sorted(bag + (v,)))
-            node = _node(("intro", bag.index(v), nbrs, None), (node,))
+            node, bag = put(("intro", bag.index(v), nbrs), (node,), bag,
+                            gone if v == order[-1] else ())
         return node, bag
 
     return build(ntd.root)[0]
@@ -289,83 +306,66 @@ class _SubplanStore:
 # === plan execution ===
 
 
-def _candidates(nbrs: tuple[int, ...], host: HostGraph):
-    """Function from a child assignment to the new vertex's candidate
-    images: every host vertex, the neighbours of one image, or the
-    common neighbours of several."""
-    if not nbrs:
-        every = range(host.n)
-        return lambda key: every
-    adj, adjsets = host._adj, host._adjsets
-    if len(nbrs) == 1:
-        p, = nbrs
-        return lambda key: adj[key[p]]
-    p, q, *rest = nbrs
-    if not rest:
-        return lambda key: adjsets[key[p]] & adjsets[key[q]]
-    return lambda key: adjsets[key[p]].intersection(
-        adjsets[key[q]], *[adjsets[key[r]] for r in rest])
+def _tuple(names: Iterable[str]) -> str:
+    """Source of a tuple display of the given names."""
+    return "(" + "".join(f"{x}, " for x in names) + ")"
 
 
-def _picker(slots: Sequence[int]):
-    """Function from a key to the tuple of its entries at `slots`."""
-    if not slots:
-        return lambda key: ()
-    if len(slots) == 1:
-        s, = slots
-        return lambda key: (key[s],)
-    return itemgetter(*slots)
+@lru_cache(maxsize=None)
+def _kernel(op: tuple, arity: int):
+    """The op's loop, specialised to its signature: the op and the key
+    length of its child tables.  Called as kernel(*child tables, host).
 
-
-def _intro(child: dict, ins: int, nbrs: tuple[int, ...],
-           keep: Optional[tuple[int, ...]], host: HostGraph) -> dict:
-    cands = _candidates(nbrs, host)
-    out: dict = {}
-    if keep is None:
-        for key, cnt in child.items():
-            pre, post = key[:ins], key[ins:]
-            for w in cands(key):
-                out[pre + (w,) + post] = cnt
-        return out
-    get = out.get
-    # keep lists slots of the key with the new image in it at `ins`
-    pick = _picker([s if s < ins else s - 1 for s in keep if s != ins])
-    if ins not in keep:
-        for key, cnt in child.items():
-            m = len(cands(key))
-            if m:
-                nk = pick(key)
-                out[nk] = get(nk, 0) + cnt * m
-        return out
-    at = keep.index(ins)
-    for key, cnt in child.items():
-        nk = pick(key)
-        pre, post = nk[:at], nk[at:]
-        for w in cands(key):
-            k2 = pre + (w,) + post
-            out[k2] = get(k2, 0) + cnt
-    return out
-
-
-def _join(a: dict, b: dict, keep: Optional[tuple[int, ...]]) -> dict:
-    if len(b) < len(a):
-        a, b = b, a
-    bget = b.get
-    out: dict = {}
-    if keep is None:
-        for key, cnt in a.items():
-            c2 = bget(key)
-            if c2 is not None:
-                out[key] = cnt * c2
-        return out
-    pick = _picker(keep)
-    get = out.get
-    for key, cnt in a.items():
-        c2 = bget(key)
-        if c2 is not None:
-            nk = pick(key)
-            out[nk] = get(nk, 0) + cnt * c2
-    return out
+    Compiled on the first run of a node with this signature.  The source
+    is the template text below and the op's slots and arity, each first
+    checked to be a non-negative int.  A kernel whose output keys are
+    distinct is one dict comprehension; any other sums into its keys.
+    """
+    kind, *fields = op
+    ints = [arity] + [x for f in fields if f is not None
+                      for x in (f if isinstance(f, tuple) else (f,))]
+    if (kind not in ("intro", "join")
+            or any(type(x) is not int or x < 0 for x in ints)):
+        raise TypeError(f"no kernel for op {op!r} over arity {arity!r}")
+    keep = fields[-1]
+    if kind == "join":
+        pre = ["if len(t1) < len(t0):", "    t0, t1 = t1, t0", "get1 = t1.get"]
+        args, value = "t0, t1, host", "cnt * c2"
+        heads = ["for key, cnt in t0.items()",
+                 "if (c2 := get1(key)) is not None"]
+        whole, slots = "key", [f"key[{s}]" for s in range(arity)]
+        distinct = keep is None
+    else:
+        ins, nbrs = fields[:2]
+        pre = ["n, adj, adjsets = host.n, host._adj, host._adjsets"]
+        args = "t0, host"
+        xs = [f"x{s}" for s in range(arity)]
+        slots = xs[:ins] + ["w"] + xs[ins:]
+        whole = _tuple(slots)
+        sets = [f"adjsets[x{p}]" for p in nbrs]
+        cands = ("range(n)" if not sets else f"adj[x{nbrs[0]}]"
+                 if len(sets) == 1 else " & ".join(sets) if len(sets) == 2
+                 else f"{sets[0]}.intersection({', '.join(sets[1:])})")
+        head = f"for {_tuple(xs)}, cnt in t0.items()"
+        if keep is None or ins in keep:
+            heads, value = [head, f"for w in {cands}"], "cnt"
+        else:  # the new slot is forgotten: scale by its candidate count
+            size = f"len({cands})" if sets else "n"
+            heads, value = [head, f"if (m := {size})"], "cnt * m"
+        distinct = keep is None or (ins not in keep and len(keep) == arity)
+    key = whole if keep is None else _tuple(slots[s] for s in keep)
+    if distinct:
+        body = [f"return {{{key}: {value} {' '.join(heads)}}}"]
+    else:  # one indented block per comprehension clause
+        ind = "    " * len(heads)
+        body = (["out = {}", "get = out.get"]
+                + ["    " * i + f"{h}:" for i, h in enumerate(heads)]
+                + [f"{ind}nk = {key}", f"{ind}out[nk] = get(nk, 0) + {value}",
+                   "return out"])
+    src = "\n    ".join([f"def kernel({args}):"] + pre + body)
+    env: dict = {}
+    exec(compile(src, f"<{kind} kernel>", "exec"), env)
+    return env["kernel"]
 
 
 def _run_plan(node: _Node, host: HostGraph,
@@ -386,13 +386,10 @@ def _run_plan(node: _Node, host: HostGraph,
         if not entry[1]:
             del live[node]
         return entry[0]
-    op, kids = node.op, node.kids
-    if op[0] == "intro":
-        table = _intro(_run_plan(kids[0], host, store), op[1], op[2], op[3],
-                       host)
-    elif op[0] == "join":
-        table = _join(_run_plan(kids[0], host, store),
-                      _run_plan(kids[1], host, store), op[1])
+    kids = node.kids
+    if kids:
+        table = _kernel(node.op, kids[0].size)(
+            *[_run_plan(kid, host, store) for kid in kids], host)
     else:
         table = {(): 1}
     left = store.takes[node] - 1
@@ -426,7 +423,7 @@ def hom_count(pattern: Graph, host: HostGraph,
     return total
 
 
-# a CountVector's key, built once per pattern rather than once per host
+# canonical key per pattern: CountVector keys, dedupe_terms, feature columns
 _pattern_key = lru_cache(maxsize=None)(canonical_key)
 
 
@@ -565,11 +562,11 @@ def dedupe_terms(
     by_key: dict[str, PatternLike] = {}
     for c in params:
         for t in c.terms:
-            by_key.setdefault(canonical_key(t.graph), t.graph)
+            by_key.setdefault(_pattern_key(t.graph), t.graph)
     keys = sorted(by_key, key=lambda k: (by_key[k].n, by_key[k].m, k))
     index = {k: i for i, k in enumerate(keys)}
     refs = [
-        [(index[canonical_key(t.graph)], t.coefficient) for t in c.terms]
+        [(index[_pattern_key(t.graph)], t.coefficient) for t in c.terms]
         for c in params
     ]
     return [by_key[k] for k in keys], refs

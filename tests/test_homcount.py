@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from motifbasis import homcount
 from motifbasis.decomp import TreeDecomposition, to_nice
 from motifbasis.graphs import (
     AnchoredGraph,
@@ -11,6 +12,7 @@ from motifbasis.graphs import (
     categorical_product,
     connected_components,
     disjoint_union,
+    enumerate_connected_graphs,
     enumerate_graphs,
     named_pattern,
 )
@@ -20,7 +22,11 @@ from motifbasis.homcount import (
     WidthGuardError,
     _compile_ops,
     _component_plans,
+    _kernel,
+    _node,
+    _requests,
     _run_plan,
+    _term_plans,
     batch_evaluate,
     batch_term_counts,
     check_width_guard,
@@ -160,6 +166,84 @@ def test_plan_quality_on_anchored_c8_basis():
     assert unfiltered == leaves
     assert ops < 1620
     assert len(nodes) < ops
+
+
+def test_compile_interns_only_reachable_nodes():
+    # a fused introduce or join is interned, not the unfused one below it
+    _node.cache_clear()
+    _component_plans.cache_clear()
+    _requests.cache_clear()
+    terms = [t.graph for t in anchored_spasm_of(named_pattern("C8@0")).terms]
+    roots = tuple(r for t in terms for r, _, _ in _term_plans(t))
+    assert _node.cache_info().currsize == len(_requests(roots)) == 257
+
+
+def _signature_class(op, arity):
+    if op[0] == "join":
+        return "join", op[1] is not None
+    _, ins, nbrs, keep = op
+    kept = "all" if keep is None else "new" if ins in keep else "not new"
+    return "intro", min(len(nbrs), 3), kept
+
+
+def test_kernels_match_oracle(monkeypatch):
+    # every connected pattern on <= 5 vertices, plain and anchored at each
+    # vertex, and K6 for 6-slot keys, on seeded hosts of <= 7 vertices
+    rng = random.Random(700)
+    runs, arities = set(), set()
+    compiled = homcount._kernel
+
+    def recording(op, arity):
+        runs.add(_signature_class(op, arity))
+        arities.add(arity)
+        return compiled(op, arity)
+
+    monkeypatch.setattr(homcount, "_kernel", recording)
+    for f in enumerate_connected_graphs(1, 5) + [named_pattern("K6")]:
+        for _ in range(2):
+            h = random_graph(rng, rng.randint(1, 7))
+            host = HostGraph.from_graph(h)
+            assert hom_count(f, host) == brute_hom(f, h)
+            for a in range(f.n):
+                ap = AnchoredGraph(f, a)
+                assert list(hom_count_node(ap, host).values) == \
+                    brute_hom_node(ap, h)
+    # 0, 1, 2 and 3+ bag neighbours, with and without keep
+    assert runs == {("join", False), ("join", True)} | {
+        ("intro", k, kept) for k in (0, 1, 2, 3)
+        for kept in ("all", "new", "not new")}
+    assert max(arities) == 5  # K6: 5-slot children, 6-slot keys
+
+
+def test_kernels_compile_on_first_run():
+    _component_plans.cache_clear()
+    _kernel.cache_clear()
+    terms = [t.graph for t in spasm_of(named_pattern("C6")).terms]
+    widths = [plan_width(t) for t in terms]  # compiles every plan
+    assert max(widths) == 2 and _component_plans.cache_info().currsize
+    assert _kernel.cache_info().currsize == 0
+    host = random_host(random.Random(71), 6)
+    term_counts_for_host(terms, host)
+    compiled = _kernel.cache_info().currsize
+    assert compiled
+    term_counts_for_host(terms, random_host(random.Random(72), 7))
+    assert _kernel.cache_info().currsize == compiled
+
+
+@pytest.mark.parametrize("op, arity", [
+    (("intro", "1", (), None), 1),
+    (("intro", 0, ("__import__('os')",), None), 1),
+    (("intro", 0, (1.0,), None), 2),
+    (("intro", 0, (0,), (True,)), 1),
+    (("intro", 0, (-1,), None), 1),
+    (("join", (0, "1")), 2),
+    (("join", None), "2"),
+    (("leaf",), 0),
+])
+def test_kernel_rejects_non_int_fields(op, arity):
+    _kernel.cache_clear()  # else an equal int op, 1.0 == 1, hits the cache
+    with pytest.raises(TypeError, match="no kernel"):
+        _kernel(op, arity)
 
 
 def test_plan_width_and_guard():

@@ -197,15 +197,17 @@ def test_shared_rows_match_single_terms_and_oracle(seed, monkeypatch):
 def test_each_subplan_computed_once_per_row(seed, monkeypatch):
     # a table asked for twice or more is kept, never computed again
     calls = []
+    compiled = homcount._kernel
 
-    def counting(kernel):
-        def wrapped(*args):
-            calls.append(kernel)
+    def counting(op, arity):  # every kernel run goes through this lookup
+        kernel = compiled(op, arity)
+
+        def run(*args):
+            calls.append(op)
             return kernel(*args)
-        return wrapped
+        return run
 
-    monkeypatch.setattr(homcount, "_intro", counting(homcount._intro))
-    monkeypatch.setattr(homcount, "_join", counting(homcount._join))
+    monkeypatch.setattr(homcount, "_kernel", counting)
     for terms, hosts in term_lists(200 + seed, 8):
         todo = [root for t in terms for root, _, _ in homcount._term_plans(t)]
         nodes = set()

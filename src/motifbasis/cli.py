@@ -17,7 +17,6 @@ from .decomp import decomposition_to_json_dict, to_nice, treewidth_exact
 from .features import (
     DATASET_FORMATS,
     ENCODING_KINDS,
-    DatasetError,
     EncodingSpec,
     cache_through,
     compute_features,
@@ -201,7 +200,7 @@ def cmd_treewidth(args) -> int:
         graph = pattern.graph
     else:
         graph = pattern
-    width, td = treewidth_exact(graph)
+    width, td = treewidth_exact(graph, anchor)
     d = to_nice(td, anchor=anchor) if args.nice else td
     if args.json:
         doc = {"pattern": canonical_key(pattern), "width": width}
@@ -533,9 +532,6 @@ def main(argv=None) -> int:
     except LimitError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (UsageError, DatasetError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -9,9 +9,11 @@ patterns; hosts never come through here.
 The decomposition is rebuilt from the optimal elimination order by
 simulating the eliminations: the bag of v is v plus its neighbors in the
 current fill graph, and v's bag hangs off the bag of the next eliminated
-fill neighbor.  Nice decompositions (leaf / introduce / forget / join) are
-derived on top, rooted so that an anchored pattern keeps its anchor alive
-all the way to the root bag.
+fill neighbor.  A decomposition is rooted where its elimination ends, at
+its last bag, as in bucket elimination, so every tree edge forgets the
+child bag's own vertex.  An anchor is eliminated last, so the root bag is
+exactly {anchor}.  Nice decompositions (leaf / introduce / forget / join)
+are derived on top with the same root.
 """
 
 from __future__ import annotations
@@ -26,6 +28,13 @@ TREEWIDTH_LIMIT = 14
 
 @dataclass(frozen=True)
 class TreeDecomposition:
+    """Bags and the tree edges between them.
+
+    `treewidth_exact` lists bags in elimination order (bag i holds the
+    i-th eliminated vertex) and edges as (child, parent) with the parent
+    later, so the last bag is the root.  `to_nice` roots there.
+    """
+
     bags: tuple[frozenset[int], ...]
     tree_edges: tuple[tuple[int, int], ...]
 
@@ -79,9 +88,14 @@ def _reach_outside(adj_masks: list[int], allowed: int, v: int) -> int:
     return outside.bit_count()
 
 
-def treewidth_exact(g: Graph) -> tuple[int, TreeDecomposition]:
+def treewidth_exact(g: Graph, anchor: Optional[int] = None
+                    ) -> tuple[int, TreeDecomposition]:
     """Exact treewidth and an optimal tree decomposition.
 
+    The anchor, when given, is eliminated last, so the last bag, the
+    root, is exactly {anchor}.  That costs no width: any vertex can end
+    an optimal elimination order, because a chordal graph has a perfect
+    elimination order ending at any chosen vertex (Dirac).
     Empty graph has width -1 by convention; an edgeless graph width 0.
     """
     n = g.n
@@ -89,6 +103,8 @@ def treewidth_exact(g: Graph) -> tuple[int, TreeDecomposition]:
         raise LimitError(
             f"exact treewidth limited to n <= {TREEWIDTH_LIMIT}, got {n}"
         )
+    if anchor is not None and not 0 <= anchor < n:
+        raise ValueError(f"anchor {anchor} out of range for {n} vertices")
     if n == 0:
         return -1, TreeDecomposition((frozenset(),), ())
     adj_masks = [0] * n
@@ -103,7 +119,7 @@ def treewidth_exact(g: Graph) -> tuple[int, TreeDecomposition]:
     for s in range(1, full + 1):
         best = n  # any order stays below n
         pick = -1
-        rest = s
+        rest = 1 << anchor if s == full and anchor is not None else s
         while rest:
             low = rest & -rest
             v = low.bit_length() - 1
@@ -288,21 +304,19 @@ def to_nice(td: TreeDecomposition,
             anchor: Optional[int] = None) -> NiceTreeDecomposition:
     """Turn a tree decomposition into a nice one.
 
-    Rooted at a bag containing the anchor when one is given, so the anchor
-    is introduced below and never forgotten until the final chain; the root
-    bag ends up {anchor}, or empty for the plain graph-level form.  Width
-    never increases.
+    Rooted at the last bag, where `treewidth_exact`'s elimination ends;
+    there every tree edge forgets the child bag's own vertex.  The
+    anchor, when given, must be in the last bag: it is then never
+    forgotten and the root bag ends up {anchor}, or empty for the plain
+    graph-level form.  Width never increases.
     """
     adj = _tree_adjacency(len(td.bags), td.tree_edges)
     if adj is None:
         raise ValueError("invalid input decomposition: not a tree")
-    if anchor is not None:
-        root_bag = next((i for i, b in enumerate(td.bags) if anchor in b), None)
-        if root_bag is None:
-            raise ValueError(f"invalid input decomposition: anchor {anchor}"
-                             " in no bag")
-    else:
-        root_bag = 0
+    root_bag = len(td.bags) - 1
+    if anchor is not None and anchor not in td.bags[root_bag]:
+        raise ValueError(f"anchor {anchor} not in the last bag; build the"
+                         " decomposition with treewidth_exact(g, anchor)")
 
     kinds: list[str] = []
     bags: list[tuple[int, ...]] = []

@@ -334,43 +334,36 @@ def encode(m: FeatureMatrix, spec: EncodingSpec) -> FeatureMatrix:
     """
     if m.encoding != "raw":
         raise ValueError("encode expects a raw matrix")
-    if spec.kind == "raw":
+    if spec.kind != "sinusoidal":
+        if spec.kind == "raw":
+            def cell(j, x):
+                return format_exact(x)
+        elif spec.kind == "log1p":
+            def cell(j, x):
+                return math.log1p(_nearest_double(x))
+        else:  # zscore: column stats first
+            if len(m.rows) < 2:
+                raise ValueError("zscore needs at least 2 rows")
+            cols = []
+            for j in range(len(m.columns)):
+                values = [_nearest_double(row[j]) for row in m.rows
+                          if row[j] is not None]
+                if not values:
+                    cols.append((0.0, 1.0))
+                    continue
+                mean = math.fsum(values) / len(values)
+                var = math.fsum((x - mean) ** 2 for x in values) / len(values)
+                std = math.sqrt(var)
+                cols.append((mean, std if std > 0 else 1.0))
+
+            def cell(j, x):
+                return (_nearest_double(x) - cols[j][0]) / cols[j][1]
         rows = tuple(
-            tuple(None if x is None else format_exact(x) for x in row)
+            tuple(None if x is None else cell(j, x) for j, x in enumerate(row))
             for row in m.rows
         )
         return FeatureMatrix(m.level, m.columns, m.row_ids, rows,
-                             m.failures, encoding="raw")
-    if spec.kind == "log1p":
-        rows = tuple(
-            tuple(None if x is None else math.log1p(_nearest_double(x))
-                  for x in row)
-            for row in m.rows
-        )
-        return FeatureMatrix(m.level, m.columns, m.row_ids, rows,
-                             m.failures, encoding="log1p")
-    if spec.kind == "zscore":
-        if len(m.rows) < 2:
-            raise ValueError("zscore needs at least 2 rows")
-        cols = []
-        for j in range(len(m.columns)):
-            values = [_nearest_double(row[j]) for row in m.rows
-                      if row[j] is not None]
-            if not values:
-                cols.append((0.0, 1.0))
-                continue
-            mean = math.fsum(values) / len(values)
-            var = math.fsum((x - mean) ** 2 for x in values) / len(values)
-            std = math.sqrt(var)
-            cols.append((mean, std if std > 0 else 1.0))
-        rows = tuple(
-            tuple(None if x is None
-                  else (_nearest_double(x) - cols[j][0]) / cols[j][1]
-                  for j, x in enumerate(row))
-            for row in m.rows
-        )
-        return FeatureMatrix(m.level, m.columns, m.row_ids, rows,
-                             m.failures, encoding="zscore")
+                             m.failures, encoding=spec.kind)
 
     # sinusoidal: column j fans out into pe_dim interleaved sin/cos columns
     half = spec.pe_dim // 2

@@ -17,6 +17,8 @@ the first run of such a node and cached, which unpacks keys in its
 key as a tuple literal.  Running a plan costs
 O(n^(width+1)) table entries in the worst case, so plans are cached per
 pattern and guarded by an explicit width check before large hosts.
+Each decomposition is rooted where its elimination ends, so every join
+child forgets a vertex below the join.
 
 Spasm terms are quotients of one pattern, so their plans share pieces.
 Nodes are hash-consed: equal sub-plans are one node, which fully
@@ -40,7 +42,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -249,12 +251,13 @@ def _component_plans(
         anchor: Optional[int]) -> tuple[tuple[_Node, bool, int], ...]:
     """One (root, holds the anchor, width) triple per connected component,
     in component order: the one place a pattern is split and compiled.
-    The anchor's component is planned with the anchor at its root."""
+    Each plan is rooted where its elimination ends, and the anchor's
+    component eliminates the anchor last, so its root bag is {anchor}."""
     out = []
     for vs in component_vertex_sets(pattern):
         comp = induced_subgraph(pattern, vs)
         a = vs.index(anchor) if anchor in vs else None
-        _, td = treewidth_exact(comp)
+        _, td = treewidth_exact(comp, a)
         ntd = to_nice(td, a)
         out.append((_compile_ops(comp, ntd), a is not None, ntd.width))
     return tuple(out)
@@ -591,26 +594,12 @@ def term_counts_for_host(terms: Sequence[PatternLike], host: HostGraph,
     return row
 
 
-_WORKER_TERMS: Sequence[PatternLike] = ()
-_WORKER_ALLOW_WIDE = False
-
-
-def _init_worker(terms: Sequence[PatternLike], allow_wide: bool) -> None:
-    global _WORKER_TERMS, _WORKER_ALLOW_WIDE
-    _WORKER_TERMS = terms
-    _WORKER_ALLOW_WIDE = allow_wide
-
-
 def _count_row(terms: Sequence[PatternLike], host: HostGraph,
                allow_wide: bool):
     try:
         return host.n, term_counts_for_host(terms, host, allow_wide)
     except LimitError as e:
         return host.n, CountFailure(str(e))
-
-
-def _count_one(host: HostGraph):
-    return _count_row(_WORKER_TERMS, host, _WORKER_ALLOW_WIDE)
 
 
 def batch_term_counts(terms: Sequence[PatternLike],
@@ -624,16 +613,14 @@ def batch_term_counts(terms: Sequence[PatternLike],
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if jobs == 1:  # no worker globals, so interleaved streams stay apart
-        for host in hosts:
-            yield _count_row(terms, host, allow_wide)
+    count = partial(_count_row, terms, allow_wide=allow_wide)
+    if jobs == 1:
+        yield from map(count, hosts)
         return
     import multiprocessing as mp
 
-    ctx = mp.get_context()
-    with ctx.Pool(jobs, initializer=_init_worker,
-                  initargs=(terms, allow_wide)) as pool:
-        yield from pool.imap(_count_one, hosts, chunksize=16)
+    with mp.get_context().Pool(jobs) as pool:
+        yield from pool.imap(count, hosts, chunksize=16)
 
 
 def batch_evaluate(params: Sequence[LinearCombination],

@@ -117,11 +117,44 @@ def test_nice_decomposition_anchored_root():
     for _ in range(15):
         g = random_graph(rng, rng.randint(2, 7))
         anchor = rng.randrange(g.n)
-        width, td = treewidth_exact(g)
+        width, td = treewidth_exact(g, anchor)
         nice = to_nice(td, anchor=anchor)
         assert validate(nice, g, anchor=anchor) is None
         assert nice.bags[nice.root] == (anchor,)
         assert nice.width <= max(width, 0)
+
+
+def test_anchor_is_eliminated_last_at_unchanged_width():
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            width = treewidth_exact(g)[0]
+            for a in range(n):
+                got, td = treewidth_exact(g, a)
+                assert got == td.width == width
+                assert td.bags[-1] == frozenset({a})
+                assert validate(to_nice(td, a), g, anchor=a) is None
+
+
+def test_every_tree_edge_forgets_the_child_vertex():
+    # bags in elimination order, edges (child, parent), root last
+    rng = random.Random(34)
+    for _ in range(20):
+        g = random_graph(rng, rng.randint(1, 7))
+        anchor = rng.choice([None, rng.randrange(g.n)])
+        _, td = treewidth_exact(g, anchor)
+        for c, p in td.tree_edges:
+            assert c < p
+            assert td.bags[c] - td.bags[p]
+        assert {c for c, _ in td.tree_edges} == set(range(len(td.bags) - 1))
+
+
+def test_to_nice_needs_the_anchor_in_the_last_bag():
+    g = named_pattern("P4")
+    _, td = treewidth_exact(g, 3)
+    with pytest.raises(ValueError, match=r"treewidth_exact\(g, anchor\)"):
+        to_nice(td, anchor=0)
+    with pytest.raises(ValueError, match="out of range"):
+        treewidth_exact(g, 4)
 
 
 def test_validate_reports_broken_decompositions():
@@ -150,9 +183,10 @@ def test_validate_reports_broken_decompositions():
 
 def test_json_shapes():
     g = named_pattern("P4")
-    _, td = treewidth_exact(g)
+    _, td = treewidth_exact(g, 2)
     doc = decomposition_to_json_dict(td)
     assert doc["kind"] == "tree" and doc["width"] == 1
+    assert doc["bags"][-1] == [2]
     nice = to_nice(td, anchor=2)
     doc = decomposition_to_json_dict(nice)
     assert doc["kind"] == "nice" and doc["width"] >= 1

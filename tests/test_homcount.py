@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from motifbasis import homcount
-from motifbasis.decomp import TreeDecomposition, to_nice
+from motifbasis.decomp import TreeDecomposition, to_nice, treewidth_exact
 from motifbasis.graphs import (
     AnchoredGraph,
     Graph,
@@ -148,8 +148,9 @@ def test_plan_independence():
 
 def test_plan_quality_on_anchored_c8_basis():
     # neighbour-first introduces: only the first introduce above a leaf
-    # ranges over every host vertex (sorted order gave 258 for 220 leaves);
-    # fused ops shrink the 1620 ops that plain nice-decomposition ops take
+    # ranges over every host vertex; rooting each plan where its
+    # elimination ends (rooting at the first bag gave 220 leaves and 1192
+    # ops) and fused ops shrink the 1620 ops of plain nice-decomposition ops
     ops = leaves = unfiltered = 0
     nodes = set()
     for t in anchored_spasm_of(named_pattern("C8@0")).terms:
@@ -162,9 +163,9 @@ def test_plan_quality_on_anchored_c8_basis():
                 ops += 1
                 leaves += node.op[0] == "leaf"
                 unfiltered += node.op[0] == "intro" and not node.op[2]
-    assert leaves == 220
+    assert leaves == 164
     assert unfiltered == leaves
-    assert ops < 1620
+    assert ops < 1192
     assert len(nodes) < ops
 
 
@@ -175,7 +176,32 @@ def test_compile_interns_only_reachable_nodes():
     _requests.cache_clear()
     terms = [t.graph for t in anchored_spasm_of(named_pattern("C8@0")).terms]
     roots = tuple(r for t in terms for r, _, _ in _term_plans(t))
-    assert _node.cache_info().currsize == len(_requests(roots)) == 257
+    assert _node.cache_info().currsize == len(_requests(roots)) == 189
+
+
+def _forgets(node):
+    """Whether the sub-plan under node forgets a vertex anywhere."""
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        if node.kids and node.op[-1] is not None:
+            return True
+        todo.extend(node.kids)
+    return False
+
+
+def test_every_join_child_forgets():
+    # rooted where the elimination ends, every tree edge forgets the child
+    # bag's own vertex, so no join child is a bare edge indicator
+    for f in enumerate_connected_graphs(1, 6):
+        for a in (None, *range(f.n)):
+            for root, _, _ in _component_plans(f, a):
+                todo = [root]
+                while todo:
+                    node = todo.pop()
+                    todo.extend(node.kids)
+                    if node.op[0] == "join":
+                        assert all(map(_forgets, node.kids)), (f, a)
 
 
 def _signature_class(op, arity):
@@ -200,10 +226,19 @@ def test_kernels_match_oracle(monkeypatch):
 
     monkeypatch.setattr(homcount, "_kernel", recording)
     for f in enumerate_connected_graphs(1, 5) + [named_pattern("K6")]:
+        # the bag-reversed decomposition is rooted at the first-eliminated
+        # bag, whose plans hold signatures the engine's own plans never do
+        _, td = treewidth_exact(f)
+        n = len(td.bags)
+        reversed_td = TreeDecomposition(
+            td.bags[::-1], tuple((n - 1 - c, n - 1 - p)
+                                 for c, p in td.tree_edges))
+        reversed_plan = _compile_ops(f, to_nice(reversed_td))
         for _ in range(2):
             h = random_graph(rng, rng.randint(1, 7))
             host = HostGraph.from_graph(h)
             assert hom_count(f, host) == brute_hom(f, h)
+            assert _run_plan(reversed_plan, host).get((), 0) == brute_hom(f, h)
             for a in range(f.n):
                 ap = AnchoredGraph(f, a)
                 assert list(hom_count_node(ap, host).values) == \

@@ -9,11 +9,15 @@ patterns; hosts never come through here.
 The decomposition is rebuilt from the optimal elimination order by
 simulating the eliminations: the bag of v is v plus its neighbors in the
 current fill graph, and v's bag hangs off the bag of the next eliminated
-fill neighbor.  A decomposition is rooted where its elimination ends, at
-its last bag, as in bucket elimination, so every tree edge forgets the
-child bag's own vertex.  An anchor is eliminated last, so the root bag is
-exactly {anchor}.  Nice decompositions (leaf / introduce / forget / join)
-are derived on top with the same root.
+fill neighbor.  Bags are listed in elimination order, which is what the
+counting engine compiles: it runs bucket elimination along that order
+(`homcount._compile_buckets`), and a bag is the scope of its bucket.  A
+decomposition is rooted where its elimination ends, at its last bag, so
+every tree edge forgets the child bag's own vertex.  An anchor is
+eliminated last, so the root bag is exactly {anchor}.  Nice
+decompositions (leaf / introduce / forget / join) are derived on top
+with the same root, as a view for `treewidth --nice`; the engine does
+not use them.
 """
 
 from __future__ import annotations

@@ -1,24 +1,31 @@
 """The counting engine: exact homomorphism counts via tree-decomposition DP.
 
-A pattern is compiled once, per connected component, into a plan over a
-nice tree decomposition: a DAG of ops, each turning the tables of its
-child nodes (assignment tuple -> count) into its own.  The compiler
-reorders each introduce run neighbour-first, so only the first
-introduce after a leaf ranges over every host vertex and the others are
-filtered through host adjacency (two or more bag neighbours intersect
-their frozensets).  It also fuses each run of forgets, as one
-projection, into the introduce or join below it, which then writes
-straight into the projected key; an introduce whose new vertex is
-forgotten at once just multiplies each count by its number of
-candidates.  Each op runs as a kernel: a loop generated for its
-signature (the op and the key length of its child tables), compiled on
-the first run of such a node and cached, which unpacks keys in its
-`for` header, inlines the candidate expression and builds each output
-key as a tuple literal.  Running a plan costs
-O(n^(width+1)) table entries in the worst case, so plans are cached per
-pattern and guarded by an explicit width check before large hosts.
-Each decomposition is rooted where its elimination ends, so every join
-child forgets a vertex below the join.
+A pattern is compiled once, per connected component, by bucket
+elimination along the optimal elimination order `treewidth_exact`
+finds, into a plan: a DAG of ops, each turning the tables of its child
+nodes (assignment tuple -> count) into its own.  The bucket of a vertex
+v multiplies the messages that hold v, the tables of earlier buckets,
+then sums v out, and its table goes to the bucket of its first
+eliminated vertex.  A bucket starts from its largest message and joins
+every other message whose slots are a subset of its own by looking up
+the projected key, before it introduces any missing vertex; so a
+message is never padded to the full bag.  Introduces go neighbour-first,
+so only the first introduce above a leaf ranges over every host vertex
+and the others are filtered through host adjacency (two or more bag
+neighbours intersect their frozensets).  The sum over v is fused, as a
+projection, into the bucket's last op, which then writes straight into
+the projected key; an introduce whose new vertex is forgotten at once
+just multiplies each count by its number of candidates.  Each op runs
+as a kernel: a loop generated for its signature (the op and the key
+length of its child tables), compiled on the first run of such a node
+and cached, which unpacks keys in its `for` header, inlines the
+candidate expression and builds each output key as a tuple literal.
+An introduce that collapses a 2-slot table onto the new vertex's image
+can also pull, summing the table over pairs of each host vertex's
+neighbours, when the host's sum of squared degrees is small against the
+table.  Running a plan costs O(n^(width+1)) table entries in the worst
+case, so plans are cached per pattern and guarded by an explicit width
+check before large hosts.
 
 Spasm terms are quotients of one pattern, so their plans share pieces.
 Nodes are hash-consed: equal sub-plans are one node, which fully
@@ -43,10 +50,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import product, repeat
 from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .decomp import NiceTreeDecomposition, to_nice, treewidth_exact
+from .decomp import treewidth_exact
 from .graphs import (
     AnchoredGraph,
     Graph,
@@ -78,7 +86,7 @@ class HostGraph:
     counting workers.
     """
 
-    __slots__ = ("n", "m", "_adj", "_adjsets")
+    __slots__ = ("n", "m", "_adj", "_adjsets", "_sq")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         norm = validated_edges(n, edges)
@@ -93,6 +101,8 @@ class HostGraph:
             self, "_adjsets",
             tuple(frozenset(a) if a else _EMPTY_SET for a in adj),
         )
+        # sum of squared degrees: the cost of a pull kernel
+        object.__setattr__(self, "_sq", sum(len(a) ** 2 for a in adj))
 
     def __setattr__(self, name, value):
         raise AttributeError("HostGraph is immutable")
@@ -175,74 +185,110 @@ def _node(op: tuple, kids: tuple[_Node, ...]) -> _Node:
     return _Node(op, kids)
 
 
-def _intro_order(pattern: Graph, bag: Sequence[int],
-                 new: Iterable[int]) -> list[int]:
-    """Introduce order for one run: next is the smallest new vertex with a
-    neighbour already in the bag, else the smallest new vertex."""
-    rest = sorted(new)
-    if len(rest) < 2:
-        return rest
-    have = set(bag)
-    order = []
-    while rest:
-        v = next((u for u in rest if not have.isdisjoint(pattern.neighbors(u))),
-                 rest[0])
-        rest.remove(v)
-        have.add(v)
-        order.append(v)
-    return order
+class _Pending:
+    """A bucket's top op before it is interned: the op without its keep,
+    its (interned) child nodes, the slots of its full key, the keep and
+    the pattern vertex of each kept slot.  A later bucket may still
+    forget more slots in it."""
+
+    __slots__ = ("op", "kids", "full", "keep", "slots")
+
+    def __init__(self, op: tuple, kids: tuple[_Node, ...],
+                 full: tuple[int, ...]):
+        self.op, self.kids, self.full = op, kids, full
+        self.keep, self.slots = None, full
+
+    def seal(self) -> _Node:
+        return _node(self.op + (self.keep,), self.kids)
+
+    def forget(self, v: int) -> None:
+        kept = range(len(self.full)) if self.keep is None else self.keep
+        self.keep = tuple(s for s in kept if self.full[s] != v)
+        self.slots = tuple(self.full[s] for s in self.keep)
 
 
-def _compile_ops(pattern: Graph, ntd: NiceTreeDecomposition) -> _Node:
-    """Compile a nice decomposition into a sub-plan DAG; returns its root.
+def _reaches(pattern: Graph, have: Iterable[int], bag: set[int]) -> bool:
+    """Whether every vertex of the bag can be introduced next to a pattern
+    neighbour already in a table whose slots are `have`."""
+    seen = set(have)
+    todo = list(seen)
+    while todo:
+        for u in pattern.neighbors(todo.pop()):
+            if u in bag and u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return len(seen) == len(bag)
 
-    Tables map assignment tuples, in sorted-bag slot order, to counts.
-    ("leaf",) is the unit table, ("join", keep) multiplies matching
-    assignments of its two children, and ("intro", ins, nbrs, keep) puts
-    each candidate image at slot `ins`: any host vertex without bag
-    neighbours, else the common neighbours of the images at slots `nbrs`.
-    Each introduce run is reordered neighbour-first.  Each forget run
-    becomes one projection fused into the op below it as `keep`, the
-    slots that stay (None when nothing is forgotten), so the op writes
-    straight into the projected key; an introduce whose `keep` drops the
-    new slot only multiplies each count by its number of candidates.
+
+def _compile_buckets(pattern: Graph, order: Sequence[int],
+                     anchored: bool) -> _Node:
+    """Compile a connected pattern by bucket elimination along `order`, a
+    permutation of its vertices; returns the root of its sub-plan DAG.
+
+    Tables map assignment tuples, in sorted slot order, to counts.  The
+    bucket of v holds the messages (the tables of earlier buckets) whose
+    slots hold v, plus v's edges to later vertices.  It starts from its
+    largest message, preferring one from which every missing vertex can
+    be introduced next to a pattern neighbour, or from the leaf ("leaf",)
+    with v introduced.  Then it joins each message whose slots are a
+    subset of its own, ("join", sub, keep) with `sub` the message's slot
+    positions in its key (None when equal), and otherwise introduces a
+    missing vertex, one with a pattern neighbour in the table first:
+    ("intro", ins, nbrs, keep) puts each candidate image at slot `ins`,
+    any host vertex without `nbrs`, else the common host neighbours of
+    the images at slots `nbrs`.  The bucket's last op sums v out, as a
+    projection `keep` to the slots that stay (None when none is
+    dropped); a bucket with nothing else to do sums v out in its
+    message's top op.  The table goes to the bucket of its first
+    eliminated slot.  With `anchored`, the last vertex is not summed
+    out, so the root's key is its image.
     """
+    pos = {v: i for i, v in enumerate(order)}
+    inbox: dict[int, list[_Pending]] = {v: [] for v in order}
+    for v in order:
+        msgs = inbox.pop(v)
+        bag = {v}.union(*(m.slots for m in msgs),
+                        (u for u in pattern.neighbors(v) if pos[u] > pos[v]))
+        if msgs:
+            cur = min(msgs, key=lambda m: (not _reaches(pattern, m.slots, bag),
+                                           -len(m.slots)))
+            msgs.remove(cur)
+        else:
+            cur = _Pending(("intro", 0, ()), (_node(("leaf",), ()),), (v,))
+        while msgs or len(cur.slots) < len(bag):
+            have = cur.slots
+            m = next((m for m in msgs if set(have).issuperset(m.slots)), None)
+            if m is not None:
+                msgs.remove(m)
+                sub = tuple(map(have.index, m.slots))
+                cur = _Pending(
+                    ("join", None if sub == tuple(range(len(have))) else sub),
+                    (cur.seal(), m.seal()), have)
+                continue
+            rest = sorted(bag.difference(have))
+            u = next((u for u in rest
+                      if not pattern.neighbors(u).isdisjoint(have)), rest[0])
+            full = tuple(sorted(have + (u,)))
+            nbrs = tuple(s for s, x in enumerate(have)
+                         if x in pattern.neighbors(u))
+            cur = _Pending(("intro", full.index(u), nbrs), (cur.seal(),), full)
+        if anchored and v == order[-1]:
+            break
+        cur.forget(v)
+        if cur.slots:  # empty only after the last vertex
+            inbox[min(cur.slots, key=pos.__getitem__)].append(cur)
+    return cur.seal()
 
-    def put(op: tuple, kids: tuple, bag: tuple[int, ...],
-            gone: Sequence[int]) -> tuple[_Node, tuple[int, ...]]:
-        """The node for op over kids with the vertices `gone` forgotten
-        from its bag, and its bag after forgetting."""
-        if not gone:
-            return _node(op + (None,), kids), bag
-        keep = tuple(s for s, u in enumerate(bag) if u not in gone)
-        return _node(op + (keep,), kids), tuple(bag[s] for s in keep)
 
-    def build(i: int,
-              gone: Sequence[int] = ()) -> tuple[_Node, tuple[int, ...]]:
-        """Node i's sub-plan with `gone` forgotten on top, and its bag."""
-        kind = ntd.kinds[i]
-        if kind == "leaf":
-            return _node(("leaf",), ()), ()
-        if kind == "join":
-            (a, bag), (b, _) = map(build, ntd.children[i])
-            return put(("join",), (a, b), bag, gone)
-        run = []
-        while ntd.kinds[i] == kind:
-            run.append(ntd.vertex[i])
-            i = ntd.children[i][0]
-        if kind == "forget":  # below it is an introduce or a join
-            return build(i, run)
-        node, bag = build(i)
-        order = _intro_order(pattern, bag, run)
-        for v in order:
-            adj = pattern.neighbors(v)
-            nbrs = tuple(s for s, u in enumerate(bag) if u in adj)
-            bag = tuple(sorted(bag + (v,)))
-            node, bag = put(("intro", bag.index(v), nbrs), (node,), bag,
-                            gone if v == order[-1] else ())
-        return node, bag
-
-    return build(ntd.root)[0]
+def _elimination_order(bags: Sequence[frozenset[int]]) -> list[int]:
+    """The vertex each bag of `treewidth_exact` eliminates: the one that
+    no later bag holds."""
+    order, later = [], set()
+    for bag in reversed(bags):
+        (v,) = bag - later
+        order.append(v)
+        later |= bag
+    return order[::-1]
 
 
 @lru_cache(maxsize=None)
@@ -251,15 +297,16 @@ def _component_plans(
         anchor: Optional[int]) -> tuple[tuple[_Node, bool, int], ...]:
     """One (root, holds the anchor, width) triple per connected component,
     in component order: the one place a pattern is split and compiled.
-    Each plan is rooted where its elimination ends, and the anchor's
-    component eliminates the anchor last, so its root bag is {anchor}."""
+    Each plan is compiled along an optimal elimination order, and the
+    anchor's component eliminates the anchor last, so its root's key is
+    the anchor's image."""
     out = []
     for vs in component_vertex_sets(pattern):
         comp = induced_subgraph(pattern, vs)
         a = vs.index(anchor) if anchor in vs else None
-        _, td = treewidth_exact(comp, a)
-        ntd = to_nice(td, a)
-        out.append((_compile_ops(comp, ntd), a is not None, ntd.width))
+        width, td = treewidth_exact(comp, a)
+        out.append((_compile_buckets(comp, _elimination_order(td.bags),
+                                     a is not None), a is not None, width))
     return tuple(out)
 
 
@@ -321,30 +368,54 @@ def _kernel(op: tuple, arity: int):
 
     Compiled on the first run of a node with this signature.  The source
     is the template text below and the op's slots and arity, each first
-    checked to be a non-negative int.  A kernel whose output keys are
-    distinct is one dict comprehension; any other sums into its keys.
+    checked to be a non-negative int (slot lists must be tuples).  A
+    kernel whose output keys are distinct is one dict comprehension; any
+    other sums into its keys.  An introduce over a 2-slot table that
+    keeps at most its new slot, both old slots being its neighbours,
+    can instead pull: for each host vertex w, sum the table over pairs
+    of w's neighbours.  That costs sum(deg^2) lookups against the push
+    loop's one intersection per entry, so it runs only when the host's
+    sum(deg^2) is below 3 entries per table entry.
     """
     kind, *fields = op
-    ints = [arity] + [x for f in fields if f is not None
-                      for x in (f if isinstance(f, tuple) else (f,))]
-    if (kind not in ("intro", "join")
+    # an introduce leads with `ins`; both kinds end in two slot tuples
+    lead, tups = fields[:kind == "intro"], fields[kind == "intro":]
+    ints = [arity, *lead] + [x for t in tups if type(t) is tuple for x in t]
+    if (kind not in ("intro", "join") or len(tups) != 2
+            or any(t is not None and type(t) is not tuple for t in tups)
             or any(type(x) is not int or x < 0 for x in ints)):
         raise TypeError(f"no kernel for op {op!r} over arity {arity!r}")
     keep = fields[-1]
+    xs = [f"x{s}" for s in range(arity)]
     if kind == "join":
-        pre = ["if len(t1) < len(t0):", "    t0, t1 = t1, t0", "get1 = t1.get"]
+        sub = fields[0]
         args, value = "t0, t1, host", "cnt * c2"
-        heads = ["for key, cnt in t0.items()",
-                 "if (c2 := get1(key)) is not None"]
-        whole, slots = "key", [f"key[{s}]" for s in range(arity)]
+        if sub is None:  # equal slots: iterate the smaller table
+            pre = ["if len(t1) < len(t0):", "    t0, t1 = t1, t0",
+                   "get1 = t1.get"]
+            heads = ["for key, cnt in t0.items()",
+                     "if (c2 := get1(key)) is not None"]
+            whole, slots = "key", [f"key[{s}]" for s in range(arity)]
+        else:  # t1's slots are the positions `sub` of t0's key
+            pre = ["get1 = t1.get"]
+            heads = [f"for {_tuple(xs)}, cnt in t0.items()",
+                     f"if (c2 := get1({_tuple(xs[s] for s in sub)}))"
+                     " is not None"]
+            whole, slots = _tuple(xs), xs
         distinct = keep is None
     else:
         ins, nbrs = fields[:2]
         pre = ["n, adj, adjsets = host.n, host._adj, host._adjsets"]
         args = "t0, host"
-        xs = [f"x{s}" for s in range(arity)]
         slots = xs[:ins] + ["w"] + xs[ins:]
         whole = _tuple(slots)
+        if arity == 2 and nbrs == (0, 1) and keep in ((ins,), ()):
+            pull = "sum(map(get0, product(a, a), repeat(0)))"
+            table = (f"{{(w, ): s for w, a in enumerate(adj)"
+                     f" if (s := {pull})}}" if keep else
+                     f"{{(): s}} if (s := sum({pull} for a in adj)) else {{}}")
+            pre += ["if host._sq < 3 * len(t0):", "    get0 = t0.get",
+                    f"    return {table}"]
         sets = [f"adjsets[x{p}]" for p in nbrs]
         cands = ("range(n)" if not sets else f"adj[x{nbrs[0]}]"
                  if len(sets) == 1 else " & ".join(sets) if len(sets) == 2
@@ -366,7 +437,7 @@ def _kernel(op: tuple, arity: int):
                 + [f"{ind}nk = {key}", f"{ind}out[nk] = get(nk, 0) + {value}",
                    "return out"])
     src = "\n    ".join([f"def kernel({args}):"] + pre + body)
-    env: dict = {}
+    env: dict = {"product": product, "repeat": repeat}
     exec(compile(src, f"<{kind} kernel>", "exec"), env)
     return env["kernel"]
 

@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from motifbasis import homcount
-from motifbasis.decomp import TreeDecomposition, to_nice, treewidth_exact
+from motifbasis.decomp import treewidth_exact
 from motifbasis.graphs import (
     AnchoredGraph,
     Graph,
@@ -20,8 +21,9 @@ from motifbasis.homcount import (
     CountFailure,
     HostGraph,
     WidthGuardError,
-    _compile_ops,
+    _compile_buckets,
     _component_plans,
+    _elimination_order,
     _kernel,
     _node,
     _requests,
@@ -135,22 +137,27 @@ def test_lovasz_identities():
 
 
 def test_plan_independence():
-    # a deliberately bad single-bag decomposition must count the same
+    # any elimination order, with the anchor last, must count the same
     rng = random.Random(54)
-    for _ in range(15):
-        f = random_graph(rng, rng.randint(1, 5), p=0.6)
-        h = random_host(rng, rng.randint(1, 6))
-        trivial = TreeDecomposition((frozenset(range(f.n)),), ())
-        plan = _compile_ops(f, to_nice(trivial))
-        table = _run_plan(plan, h)
-        assert sum(table.values()) == hom_count(f, h)
+    for f in enumerate_connected_graphs(1, 5):
+        for _ in range(3):
+            order = rng.sample(range(f.n), f.n)
+            h = random_graph(rng, rng.randint(1, 6))
+            host = HostGraph.from_graph(h)
+            table = _run_plan(_compile_buckets(f, order, False), host)
+            assert table.get((), 0) == brute_hom(f, h), (f, order)
+            a = order[-1]
+            table = _run_plan(_compile_buckets(f, order, True), host)
+            assert [table.get((w,), 0) for w in range(host.n)] == \
+                brute_hom_node(AnchoredGraph(f, a), h), (f, order)
 
 
 def test_plan_quality_on_anchored_c8_basis():
     # neighbour-first introduces: only the first introduce above a leaf
-    # ranges over every host vertex; rooting each plan where its
-    # elimination ends (rooting at the first bag gave 220 leaves and 1192
-    # ops) and fused ops shrink the 1620 ops of plain nice-decomposition ops
+    # ranges over every host vertex; bucket elimination joins messages
+    # without padding them to the full bag (887 ops over a nice
+    # decomposition rooted where its elimination ends, 1192 rooted at the
+    # first bag, 1620 before ops were fused)
     ops = leaves = unfiltered = 0
     nodes = set()
     for t in anchored_spasm_of(named_pattern("C8@0")).terms:
@@ -165,18 +172,55 @@ def test_plan_quality_on_anchored_c8_basis():
                 unfiltered += node.op[0] == "intro" and not node.op[2]
     assert leaves == 164
     assert unfiltered == leaves
-    assert ops < 1192
+    assert ops < 887
     assert len(nodes) < ops
 
 
+def test_kernel_entries_on_anchored_c8_basis(monkeypatch):
+    # the DP's work as an exact count: entries of every kernel's output
+    # table over one pass of the anchored C8 basis on G(23, 50) hosts
+    # (243,807 when join children were padded to the full bag)
+    entries = []
+    compiled = homcount._kernel
+
+    def counting(op, arity):  # every kernel run goes through this lookup
+        kernel = compiled(op, arity)
+
+        def run(*args):
+            table = kernel(*args)
+            entries.append(len(table))
+            return table
+        return run
+
+    monkeypatch.setattr(homcount, "_kernel", counting)
+    terms = [t.graph for t in anchored_spasm_of(named_pattern("C8@0")).terms]
+    pairs = [(u, v) for u in range(23) for v in range(u + 1, 23)]
+    for seed in range(10):
+        host = HostGraph(23, random.Random(seed).sample(pairs, 50))
+        term_counts_for_host(terms, host)
+    assert sum(entries) == 180_515
+
+
+def test_pull_kernel_guard_on_a_star():
+    # K3's plan ends in a 2-slot collapse; pulling it would look up
+    # sum(deg^2) = 4 * 10^8 pairs on this star, pushing its 40,002 entries
+    # takes one intersection each
+    n = 20_001
+    host = HostGraph(n, [(0, v) for v in range(1, n)] + [(1, 2)])
+    start = time.perf_counter()
+    assert hom_count(named_pattern("K3"), host) == 6
+    assert time.perf_counter() - start < 5
+
+
 def test_compile_interns_only_reachable_nodes():
-    # a fused introduce or join is interned, not the unfused one below it
+    # a bucket's top op is interned only once no later bucket can still
+    # fuse a forget into it
     _node.cache_clear()
     _component_plans.cache_clear()
     _requests.cache_clear()
     terms = [t.graph for t in anchored_spasm_of(named_pattern("C8@0")).terms]
     roots = tuple(r for t in terms for r, _, _ in _term_plans(t))
-    assert _node.cache_info().currsize == len(_requests(roots)) == 189
+    assert _node.cache_info().currsize == len(_requests(roots)) == 184
 
 
 def _forgets(node):
@@ -204,12 +248,29 @@ def test_every_join_child_forgets():
                         assert all(map(_forgets, node.kids)), (f, a)
 
 
-def _signature_class(op, arity):
+def test_no_introduce_without_a_neighbour_above_a_table():
+    # only the first introduce above a leaf ranges over every host vertex;
+    # one over a non-empty key builds n times its table
+    for f in enumerate_connected_graphs(1, 6):
+        for a in (None, *range(f.n)):
+            for root, _, _ in _component_plans(f, a):
+                todo = [root]
+                while todo:
+                    node = todo.pop()
+                    todo.extend(node.kids)
+                    if node.op[0] == "intro" and not node.op[2]:
+                        assert node.kids[0].size == 0, (f, a)
+
+
+def _signature_classes(op, arity, tables, host):
     if op[0] == "join":
-        return "join", op[1] is not None
+        return {("join", op[1] is not None, op[2] is not None)}
     _, ins, nbrs, keep = op
     kept = "all" if keep is None else "new" if ins in keep else "not new"
-    return "intro", min(len(nbrs), 3), kept
+    out = {("intro", min(len(nbrs), 3), kept)}
+    if arity == 2 and nbrs == (0, 1) and keep in ((ins,), ()):
+        out.add(("pull", host._sq < 3 * len(tables[0])))  # branch taken
+    return out
 
 
 def test_kernels_match_oracle(monkeypatch):
@@ -220,20 +281,21 @@ def test_kernels_match_oracle(monkeypatch):
     compiled = homcount._kernel
 
     def recording(op, arity):
-        runs.add(_signature_class(op, arity))
-        arities.add(arity)
-        return compiled(op, arity)
+        kernel = compiled(op, arity)
+
+        def run(*args):
+            runs.update(_signature_classes(op, arity, args[:-1], args[-1]))
+            arities.add(arity)
+            return kernel(*args)
+        return run
 
     monkeypatch.setattr(homcount, "_kernel", recording)
     for f in enumerate_connected_graphs(1, 5) + [named_pattern("K6")]:
-        # the bag-reversed decomposition is rooted at the first-eliminated
-        # bag, whose plans hold signatures the engine's own plans never do
+        # the reversed elimination order gives plans with signatures the
+        # engine's own plans never hold
         _, td = treewidth_exact(f)
-        n = len(td.bags)
-        reversed_td = TreeDecomposition(
-            td.bags[::-1], tuple((n - 1 - c, n - 1 - p)
-                                 for c, p in td.tree_edges))
-        reversed_plan = _compile_ops(f, to_nice(reversed_td))
+        reversed_plan = _compile_buckets(
+            f, _elimination_order(td.bags)[::-1], False)
         for _ in range(2):
             h = random_graph(rng, rng.randint(1, 7))
             host = HostGraph.from_graph(h)
@@ -243,10 +305,21 @@ def test_kernels_match_oracle(monkeypatch):
                 ap = AnchoredGraph(f, a)
                 assert list(hom_count_node(ap, host).values) == \
                     brute_hom_node(ap, h)
-    # 0, 1, 2 and 3+ bag neighbours, with and without keep
-    assert runs == {("join", False), ("join", True)} | {
+    # no bucket ends in an introduce without neighbours that keeps its new
+    # slot, so that kernel runs in a plan built by hand: two isolated
+    # vertices, anchored at the second, the first summed out
+    first = _node(("intro", 0, (), None), (_node(("leaf",), ()),))
+    plan = _node(("intro", 1, (), (1,)), (first,))
+    h = random_graph(rng, 5)
+    assert [_run_plan(plan, HostGraph.from_graph(h)).get((w,), 0)
+            for w in range(5)] == brute_hom_node(AnchoredGraph(Graph(2), 1), h)
+    # equal-slot and subset joins, with and without keep; 0, 1, 2 and 3+
+    # bag neighbours, with and without keep; both branches of the pull
+    assert runs == {("join", sub, keep) for sub in (False, True)
+                    for keep in (False, True)} | {
         ("intro", k, kept) for k in (0, 1, 2, 3)
-        for kept in ("all", "new", "not new")}
+        for kept in ("all", "new", "not new")} | {
+        ("pull", True), ("pull", False)}
     assert max(arities) == 5  # K6: 5-slot children, 6-slot keys
 
 
@@ -271,9 +344,16 @@ def test_kernels_compile_on_first_run():
     (("intro", 0, (1.0,), None), 2),
     (("intro", 0, (0,), (True,)), 1),
     (("intro", 0, (-1,), None), 1),
-    (("join", (0, "1")), 2),
-    (("join", None), "2"),
+    (("join", None, (0, "1")), 2),
+    (("join", None, None), "2"),
     (("leaf",), 0),
+    (("join", ("0",), None), 2),
+    (("join", (0.0,), None), 2),
+    (("join", (True,), None), 2),
+    (("join", (-1,), None), 2),
+    (("join", range(1), None), 2),
+    (("join", 0, None), 2),
+    (("join", (0,)), 2),
 ])
 def test_kernel_rejects_non_int_fields(op, arity):
     _kernel.cache_clear()  # else an equal int op, 1.0 == 1, hits the cache

@@ -13,7 +13,12 @@ import time
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .decomp import decomposition_to_json_dict, to_nice, treewidth_exact
+from .decomp import (
+    decomposition_to_json_dict,
+    elimination_order,
+    to_nice,
+    treewidth_exact,
+)
 from .features import (
     DATASET_FORMATS,
     ENCODING_KINDS,
@@ -31,6 +36,7 @@ from .graphs import (
     LimitError,
     PatternLike,
     canonical_key,
+    disjoint_union,
     enumerate_connected_graphs,
     enumerate_graphs,
     format_graph6,
@@ -150,7 +156,7 @@ def build_combination(pattern: PatternLike, mode: str,
 def _term_stats(term: BasisTerm) -> tuple[str, int, int, int]:
     g = term.graph
     plain = g.graph if isinstance(g, AnchoredGraph) else g
-    return canonical_key(g), plain.n, plain.m, treewidth_exact(plain)[0]
+    return canonical_key(g), plain.n, plain.m, elimination_order(plain)[0]
 
 
 def _print_basis_table(c: LinearCombination, out) -> None:
@@ -389,6 +395,20 @@ def _route_batch_node(pattern: Graph, anchor: int, host: Graph):
                  for a in aps]
 
 
+def _route_union(pattern: Graph, anchor: int, host: Graph):
+    # the sample plus a second component, drawn from the sample itself,
+    # so that the product over components is checked too
+    rng = random.Random(
+        f"{format_graph6(pattern)}@{anchor} {format_graph6(host)}")
+    room = min(3, ORACLE_PATTERN_LIMIT - pattern.n)
+    if room > 0:
+        pattern = disjoint_union(
+            pattern, rng.choice(enumerate_connected_graphs(1, room)))
+    ap, h = AnchoredGraph(pattern, anchor), HostGraph.from_graph(host)
+    return ((hom_count(pattern, h), list(hom_count_node(ap, h).values)),
+            (brute_hom(pattern, host), brute_hom_node(ap, host)))
+
+
 # name -> (engine value, oracle value); kept at module level so a test can
 # swap in a broken route and watch the checker catch it
 CHECK_ROUTES: dict[str, Callable] = {
@@ -398,6 +418,7 @@ CHECK_ROUTES: dict[str, Callable] = {
     "sub-node": _route_sub_node,
     "indsub-graph": _route_indsub_graph,
     "batch-node": _route_batch_node,
+    "union": _route_union,
 }
 
 

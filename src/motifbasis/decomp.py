@@ -1,23 +1,25 @@
-"""Exact tree decompositions for small pattern graphs.
+"""Exact elimination orders and tree decompositions for small patterns.
 
 Treewidth is computed by the classic dynamic program over vertex subsets:
 f(S) is the best achievable maximum elimination degree over orderings of S,
 with f(S) = min over v in S of max(f(S - v), degree of v when eliminated
-last among S).  Exponential in the vertex count, which is fine for motif
-patterns; hosts never come through here.
+last among S).  `elimination_order`, the one place a pattern is split
+into components, runs the DP and its vertex limit per connected
+component, so the cost is exponential in the largest component, which
+is fine for motif patterns; hosts never come through here.
 
-The decomposition is rebuilt from the optimal elimination order by
-simulating the eliminations: the bag of v is v plus its neighbors in the
-current fill graph, and v's bag hangs off the bag of the next eliminated
-fill neighbor.  Bags are listed in elimination order, which is what the
-counting engine compiles: it runs bucket elimination along that order
-(`homcount._compile_buckets`), and a bag is the scope of its bucket.  A
-decomposition is rooted where its elimination ends, at its last bag, so
-every tree edge forgets the child bag's own vertex.  An anchor is
-eliminated last, so the root bag is exactly {anchor}.  Nice
-decompositions (leaf / introduce / forget / join) are derived on top
-with the same root, as a view for `treewidth --nice`; the engine does
-not use them.
+The counting engine compiles that order, one plan per pattern, by bucket
+elimination (`homcount._compile_buckets`).  `treewidth_exact` rebuilds
+a decomposition from it by simulating the eliminations: the bag of v is
+v plus its neighbors in the current fill graph, and v's bag hangs off
+the bag of the next eliminated fill neighbor, or off the next bag when
+its component is done.  Bags are listed in elimination order, so a bag
+is the scope of its bucket.  A decomposition is rooted where its
+elimination ends, at its last bag, so every tree edge forgets the child
+bag's own vertex.  An anchor is eliminated last, so the root bag is
+exactly {anchor}.  Nice decompositions (leaf / introduce / forget /
+join) are derived on top with the same root, as a view for
+`treewidth --nice`; the engine does not use them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .graphs import Graph, LimitError
+from .graphs import (
+    Graph,
+    LimitError,
+    component_vertex_sets,
+    induced_subgraph,
+)
 
 TREEWIDTH_LIMIT = 14
 
@@ -92,25 +99,10 @@ def _reach_outside(adj_masks: list[int], allowed: int, v: int) -> int:
     return outside.bit_count()
 
 
-def treewidth_exact(g: Graph, anchor: Optional[int] = None
-                    ) -> tuple[int, TreeDecomposition]:
-    """Exact treewidth and an optimal tree decomposition.
-
-    The anchor, when given, is eliminated last, so the last bag, the
-    root, is exactly {anchor}.  That costs no width: any vertex can end
-    an optimal elimination order, because a chordal graph has a perfect
-    elimination order ending at any chosen vertex (Dirac).
-    Empty graph has width -1 by convention; an edgeless graph width 0.
-    """
+def _subset_dp(g: Graph, anchor: Optional[int]) -> tuple[int, list[int]]:
+    """Width and an optimal elimination order of a connected graph, by the
+    subset DP; the anchor, when given, is eliminated last."""
     n = g.n
-    if n > TREEWIDTH_LIMIT:
-        raise LimitError(
-            f"exact treewidth limited to n <= {TREEWIDTH_LIMIT}, got {n}"
-        )
-    if anchor is not None and not 0 <= anchor < n:
-        raise ValueError(f"anchor {anchor} out of range for {n} vertices")
-    if n == 0:
-        return -1, TreeDecomposition((frozenset(),), ())
     adj_masks = [0] * n
     for u, v in g.edges:
         adj_masks[u] |= 1 << v
@@ -146,34 +138,65 @@ def treewidth_exact(g: Graph, anchor: Optional[int] = None
         order.append(v)
         s &= ~(1 << v)
     order.reverse()
+    return f[full], order
+
+
+def elimination_order(g: Graph, anchor: Optional[int] = None
+                      ) -> tuple[int, list[int]]:
+    """Exact treewidth and an optimal elimination order.
+
+    The subset DP runs on each connected component, so TREEWIDTH_LIMIT
+    bounds a component, not the graph.  Components are eliminated one
+    after another, in order of their smallest vertex, with the anchor's
+    component last; it ends at the anchor.  That costs no width: any
+    vertex can end an optimal elimination order, because a chordal graph
+    has a perfect elimination order ending at any chosen vertex (Dirac).
+    Empty graph has width -1 by convention; an edgeless graph width 0.
+    """
+    if anchor is not None and not 0 <= anchor < g.n:
+        raise ValueError(f"anchor {anchor} out of range for {g.n} vertices")
+    width, order = -1, []
+    for vs in sorted(component_vertex_sets(g), key=lambda vs: anchor in vs):
+        if len(vs) > TREEWIDTH_LIMIT:
+            raise LimitError(
+                f"exact treewidth limited to components of n <="
+                f" {TREEWIDTH_LIMIT}, got {len(vs)}")
+        a = vs.index(anchor) if anchor in vs else None
+        w, local = _subset_dp(induced_subgraph(g, vs), a)
+        width = max(width, w)
+        order += [vs[i] for i in local]
+    return width, order
+
+
+def treewidth_exact(g: Graph, anchor: Optional[int] = None
+                    ) -> tuple[int, TreeDecomposition]:
+    """Exact treewidth and an optimal tree decomposition, whose bags are
+    replayed from `elimination_order(g, anchor)`.
+
+    The anchor, when given, is eliminated last, so the last bag, the
+    root, is exactly {anchor}.
+    """
+    width, order = elimination_order(g, anchor)
+    if not order:
+        return -1, TreeDecomposition((frozenset(),), ())
 
     # replay eliminations to collect bags
-    cur = [set() for _ in range(n)]
-    for u, v in g.edges:
-        cur[u].add(v)
-        cur[v].add(u)
+    cur = [set(g.neighbors(v)) for v in range(g.n)]
     pos = {v: i for i, v in enumerate(order)}
     bags: list[frozenset[int]] = []
-    parents: list[Optional[int]] = []
-    for v in order:
-        nbrs = sorted(cur[v])
-        bags.append(frozenset([v] + nbrs))
-        parents.append(min(nbrs, key=lambda u: pos[u]) if nbrs else None)
-        for a in nbrs:
-            cur[a].discard(v)
-            for b in nbrs:
-                if a != b:
-                    cur[a].add(b)
     tree_edges = []
     for i, v in enumerate(order):
-        p = parents[i]
-        if p is not None:
-            tree_edges.append((i, pos[p]))
-        elif i + 1 < n:
-            # isolated at elimination time: chain to the next bag
+        nbrs = cur[v]
+        bags.append(frozenset(nbrs | {v}))
+        if nbrs:
+            tree_edges.append((i, min(pos[u] for u in nbrs)))
+        elif i + 1 < g.n:
+            # its component is done: chain to the next bag
             tree_edges.append((i, i + 1))
-    td = TreeDecomposition(tuple(bags), tuple(tree_edges))
-    return f[full], td
+        for a in nbrs:
+            cur[a].discard(v)
+            cur[a] |= nbrs - {a}
+    return width, TreeDecomposition(tuple(bags), tuple(tree_edges))
 
 
 # === validation ===

@@ -17,13 +17,12 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
-from .graphs import AnchoredGraph, EdgeError, canonical_form
+from .graphs import AnchoredGraph, EdgeError, canonical_form, canonical_key
 from .homcount import (
     CountFailure,
     HostGraph,
     _combine,
     _hom_level,
-    _pattern_key,
     batch_term_counts,
     dedupe_terms,
 )
@@ -221,7 +220,7 @@ def _feature_columns(terms, params: Sequence[LinearCombination],
     names = []
     meta = []
     for t in terms:
-        key = _pattern_key(t)
+        key = canonical_key(t)
         anchor = 0 if isinstance(t, AnchoredGraph) else None
         names.append(f"hom:{key}")
         meta.append(("hom", key, anchor, ""))

@@ -430,10 +430,11 @@ def canonical_form_anchored(ag: AnchoredGraph) -> tuple[AnchoredGraph, tuple[int
     return AnchoredGraph(Graph(ag.n, canon_edges), perm[ag.anchor]), perm
 
 
+@lru_cache(maxsize=100_000)
 def canonical_key(obj: PatternLike) -> str:
     """Stable text identity: graph6 of the canonical form, plus "@<anchor>"
     for anchored graphs.  Equal strings iff isomorphic (anchor-preserving
-    for anchored inputs)."""
+    for anchored inputs).  Cached per graph, like the canonical forms."""
     if isinstance(obj, AnchoredGraph):
         cg, _ = canonical_form_anchored(obj)
         return f"{format_graph6(cg.graph)}@{cg.anchor}"

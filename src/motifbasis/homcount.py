@@ -1,18 +1,22 @@
 """The counting engine: exact homomorphism counts via tree-decomposition DP.
 
-A pattern is compiled once, per connected component, by bucket
-elimination along the optimal elimination order `treewidth_exact`
-finds, into a plan: a DAG of ops, each turning the tables of its child
-nodes (assignment tuple -> count) into its own.  The bucket of a vertex
-v multiplies the messages that hold v, the tables of earlier buckets,
+A pattern is compiled once, whole, by bucket elimination along the
+optimal elimination order `decomp.elimination_order` finds, into one
+plan: a DAG of ops, each turning the tables of its child nodes
+(assignment tuple -> count) into its own.  The bucket of a vertex v
+multiplies the messages that hold v, the tables of earlier buckets,
 then sums v out, and its table goes to the bucket of its first
-eliminated vertex.  A bucket starts from its largest message and joins
-every other message whose slots are a subset of its own by looking up
-the projected key, before it introduces any missing vertex; so a
-message is never padded to the full bag.  Introduces go neighbour-first,
-so only the first introduce above a leaf ranges over every host vertex
-and the others are filtered through host adjacency (two or more bag
-neighbours intersect their frozensets).  The sum over v is fused, as a
+eliminated vertex.  The order eliminates connected components one after
+another, so a component's count is a table with no slot left; it goes
+to the last vertex's bucket, which joins it like any other message, and
+the product over components is part of the plan.  A bucket starts from
+its largest message and joins every other message whose slots are a
+subset of its own by looking up the projected key, before it
+introduces any missing vertex; so a message is never padded to the full
+bag.  Introduces go neighbour-first, so only the first introduce above
+a leaf ranges over every host vertex and the others are filtered
+through host adjacency (two or more bag neighbours intersect their
+frozensets).  The sum over v is fused, as a
 projection, into the bucket's last op, which then writes straight into
 the projected key; an introduce whose new vertex is forgotten at once
 just multiplies each count by its number of candidates.  Each op runs
@@ -39,13 +43,10 @@ reference from each distinct parent.  A table asked for more than once
 is kept after it is computed and dropped at its last take.
 
 Everything is arbitrary-precision integer arithmetic; floats never appear.
-Disconnected patterns multiply over components; anchored counts keep the
-anchor's component as the vector factor.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,15 +55,13 @@ from itertools import product, repeat
 from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .decomp import treewidth_exact
+from .decomp import elimination_order
 from .graphs import (
     AnchoredGraph,
     Graph,
     LimitError,
     PatternLike,
     canonical_key,
-    component_vertex_sets,
-    induced_subgraph,
     validated_edges,
 )
 from .spasm import GRAPH_LEVEL, HOM_BASIS, NODE_LEVEL, LinearCombination
@@ -118,9 +117,7 @@ class HostGraph:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        a = self._adj[u]
-        i = bisect_left(a, v)
-        return i < len(a) and a[i] == v
+        return v in self._adjsets[u]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
@@ -222,7 +219,7 @@ def _reaches(pattern: Graph, have: Iterable[int], bag: set[int]) -> bool:
 
 def _compile_buckets(pattern: Graph, order: Sequence[int],
                      anchored: bool) -> _Node:
-    """Compile a connected pattern by bucket elimination along `order`, a
+    """Compile a pattern by bucket elimination along `order`, a
     permutation of its vertices; returns the root of its sub-plan DAG.
 
     Tables map assignment tuples, in sorted slot order, to counts.  The
@@ -240,9 +237,14 @@ def _compile_buckets(pattern: Graph, order: Sequence[int],
     projection `keep` to the slots that stay (None when none is
     dropped); a bucket with nothing else to do sums v out in its
     message's top op.  The table goes to the bucket of its first
-    eliminated slot.  With `anchored`, the last vertex is not summed
-    out, so the root's key is its image.
+    eliminated slot, or, once no slot is left (a connected component has
+    ended), to the last vertex's bucket, which joins it as a subset.
+    With `anchored`, the last vertex is not summed out, so the root's key
+    is its image.  The empty pattern's plan is the leaf.
     """
+    if not order:
+        return _node(("leaf",), ())
+    last = order[-1]
     pos = {v: i for i, v in enumerate(order)}
     inbox: dict[int, list[_Pending]] = {v: [] for v in order}
     for v in order:
@@ -272,48 +274,28 @@ def _compile_buckets(pattern: Graph, order: Sequence[int],
             nbrs = tuple(s for s, x in enumerate(have)
                          if x in pattern.neighbors(u))
             cur = _Pending(("intro", full.index(u), nbrs), (cur.seal(),), full)
-        if anchored and v == order[-1]:
+        if anchored and v == last:
             break
         cur.forget(v)
-        if cur.slots:  # empty only after the last vertex
-            inbox[min(cur.slots, key=pos.__getitem__)].append(cur)
+        if v != last:
+            first = min(cur.slots, key=pos.__getitem__, default=last)
+            inbox[first].append(cur)
     return cur.seal()
 
 
-def _elimination_order(bags: Sequence[frozenset[int]]) -> list[int]:
-    """The vertex each bag of `treewidth_exact` eliminates: the one that
-    no later bag holds."""
-    order, later = [], set()
-    for bag in reversed(bags):
-        (v,) = bag - later
-        order.append(v)
-        later |= bag
-    return order[::-1]
-
-
 @lru_cache(maxsize=None)
-def _component_plans(
-        pattern: Graph,
-        anchor: Optional[int]) -> tuple[tuple[_Node, bool, int], ...]:
-    """One (root, holds the anchor, width) triple per connected component,
-    in component order: the one place a pattern is split and compiled.
-    Each plan is compiled along an optimal elimination order, and the
-    anchor's component eliminates the anchor last, so its root's key is
-    the anchor's image."""
-    out = []
-    for vs in component_vertex_sets(pattern):
-        comp = induced_subgraph(pattern, vs)
-        a = vs.index(anchor) if anchor in vs else None
-        width, td = treewidth_exact(comp, a)
-        out.append((_compile_buckets(comp, _elimination_order(td.bags),
-                                     a is not None), a is not None, width))
-    return tuple(out)
+def _plan(pattern: Graph, anchor: Optional[int]) -> tuple[_Node, int]:
+    """The root of the pattern's plan and its width: the one place a
+    pattern is compiled.  The elimination order ends at the anchor, so
+    the root's key is the anchor's image."""
+    width, order = elimination_order(pattern, anchor)
+    return _compile_buckets(pattern, order, anchor is not None), width
 
 
-def _term_plans(t: PatternLike) -> tuple[tuple[_Node, bool, int], ...]:
+def _term_plan(t: PatternLike) -> tuple[_Node, int]:
     if isinstance(t, AnchoredGraph):
-        return _component_plans(t.graph, t.anchor)
-    return _component_plans(t, None)
+        return _plan(t.graph, t.anchor)
+    return _plan(t, None)
 
 
 # === the sub-plan store ===
@@ -479,11 +461,9 @@ def hom_count(pattern: Graph, host: HostGraph,
               store: Optional[_SubplanStore] = None) -> int:
     """Exact number of homomorphisms pattern -> host.
 
-    Disconnected patterns multiply over connected components.  No resource
-    guard here; callers protect themselves with check_width_guard.  A
-    store (term_counts_for_host passes one per host) shares sub-plan
-    tables between the terms of one row; every component runs so that
-    the store's take counts hold.
+    No resource guard here; callers protect themselves with
+    check_width_guard.  A store (term_counts_for_host passes one per
+    host) shares sub-plan tables between the terms of one row.
     """
     if isinstance(pattern, AnchoredGraph):
         raise TypeError("use hom_count_node for anchored patterns")
@@ -491,14 +471,7 @@ def hom_count(pattern: Graph, host: HostGraph,
         raise ValueError("pattern needs at least one vertex")
     if host.n == 0:
         return 0
-    total = 1
-    for root, _, _ in _component_plans(pattern, None):
-        total *= _run_plan(root, host, store).get((), 0)
-    return total
-
-
-# canonical key per pattern: CountVector keys, dedupe_terms, feature columns
-_pattern_key = lru_cache(maxsize=None)(canonical_key)
+    return _run_plan(_plan(pattern, None)[0], host, store).get((), 0)
 
 
 def hom_count_node(pattern: AnchoredGraph, host: HostGraph,
@@ -506,31 +479,24 @@ def hom_count_node(pattern: AnchoredGraph, host: HostGraph,
     """Homomorphism counts keyed by the image of the anchor.
 
     Entry v counts homomorphisms sending the anchor to host vertex v, so
-    the entries sum to hom_count of the underlying pattern.  The anchor's
-    component contributes the vector; remaining components scale it.
-    The store is as for hom_count.
+    the entries sum to hom_count of the underlying pattern.  The store is
+    as for hom_count.
     """
     if not isinstance(pattern, AnchoredGraph):
         raise TypeError("hom_count_node needs an AnchoredGraph")
     if pattern.n < 1:
         raise ValueError("pattern needs at least one vertex")
-    key = _pattern_key(pattern)
+    key = canonical_key(pattern)
     if host.n == 0:
         return CountVector(key, ())
-    rest = 1
-    vec: list[int] = []
-    for root, anchored, _ in _component_plans(pattern.graph, pattern.anchor):
-        table = _run_plan(root, host, store)
-        if anchored:
-            vec = [table.get((w,), 0) for w in range(host.n)]
-        else:
-            rest *= table.get((), 0)
-    return CountVector(key, tuple(v * rest for v in vec))
+    table = _run_plan(_plan(pattern.graph, pattern.anchor)[0], host, store)
+    values = tuple(map(table.get, zip(range(host.n)), repeat(0)))
+    return CountVector(key, values)
 
 
 def plan_width(pattern: PatternLike) -> int:
-    """Width of the compiled plan for a pattern (max over components)."""
-    return max((w for _, _, w in _term_plans(pattern)), default=-1)
+    """Width of the compiled plan for a pattern; -1 for the empty one."""
+    return _term_plan(pattern)[1]
 
 
 def check_width_guard(pattern: PatternLike, host_n: int,
@@ -636,11 +602,11 @@ def dedupe_terms(
     by_key: dict[str, PatternLike] = {}
     for c in params:
         for t in c.terms:
-            by_key.setdefault(_pattern_key(t.graph), t.graph)
+            by_key.setdefault(canonical_key(t.graph), t.graph)
     keys = sorted(by_key, key=lambda k: (by_key[k].n, by_key[k].m, k))
     index = {k: i for i, k in enumerate(keys)}
     refs = [
-        [(index[_pattern_key(t.graph)], t.coefficient) for t in c.terms]
+        [(index[canonical_key(t.graph)], t.coefficient) for t in c.terms]
         for c in params
     ]
     return [by_key[k] for k in keys], refs
@@ -654,7 +620,7 @@ def term_counts_for_host(terms: Sequence[PatternLike], host: HostGraph,
     with one sub-plan store for the row: a sub-plan that several terms'
     plans contain is computed once on this host.
     """
-    store = _SubplanStore(root for t in terms for root, _, _ in _term_plans(t))
+    store = _SubplanStore(_term_plan(t)[0] for t in terms)
     row = []
     for t in terms:
         check_width_guard(t, host.n, allow_wide)

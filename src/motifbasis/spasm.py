@@ -19,9 +19,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
-from typing import Callable, Iterable
+from typing import Callable
 
-from .decomp import treewidth_exact
+from .decomp import elimination_order
 from .graphs import (
     AnchoredGraph,
     Graph,
@@ -32,7 +32,6 @@ from .graphs import (
     canonical_form,
     canonical_form_anchored,
     canonical_key,
-    connected_components,
     enumerate_graphs,
     enumerate_partitions,
     format_graph6,
@@ -409,21 +408,11 @@ def filter_min_treewidth(c: LinearCombination, k: int) -> LinearCombination:
     """Drop every term whose graph has treewidth at most k."""
     kept = tuple(
         t for t in c.terms
-        if treewidth_exact(
+        if elimination_order(
             t.graph.graph if isinstance(t.graph, AnchoredGraph) else t.graph
         )[0] > k
     )
     return LinearCombination(c.basis_kind, c.level, kept, c.provenance)
-
-
-def connected_component_support(graphs: Iterable[Graph]) -> list[Graph]:
-    """Connected components of all inputs, deduplicated up to iso."""
-    acc: dict[str, Graph] = {}
-    for g in graphs:
-        for comp in connected_components(g):
-            cc, _ = canonical_form(comp)
-            acc.setdefault(format_graph6(cc), cc)
-    return sorted(acc.values(), key=lambda g: (g.n, g.m, format_graph6(g)))
 
 
 # === serialization ===

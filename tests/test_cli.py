@@ -125,6 +125,20 @@ def test_treewidth_command(capsys):
     assert "nice decomposition:" in out
 
 
+def test_treewidth_limit_is_per_component(capsys, tmp_path):
+    # five disjoint triangles: 15 vertices, components of 3
+    triangles = "NwCW?CB???_B????_?W"
+    code, out, _ = run(capsys, "treewidth", "--pattern", triangles)
+    assert code == 0 and out == "treewidth 2\n"
+    ds = write_dataset(tmp_path)
+    argv = ["count", "--dataset", str(ds), "--pattern", triangles,
+            "--mode", "hom"]
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0 and plain.splitlines()[1].split(",")[1] == str(6 ** 5)
+    code, out, _ = run(capsys, *argv, "--min-treewidth", "1")
+    assert code == 0 and out == plain
+
+
 def test_enumerate_command(capsys):
     code, out, _ = run(capsys, "enumerate", "--max", "4")
     assert code == 0 and len(out.splitlines()) == 1 + 2 + 4 + 11

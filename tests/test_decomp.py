@@ -8,6 +8,7 @@ from motifbasis.decomp import (
     TreeDecomposition,
     TREEWIDTH_LIMIT,
     decomposition_to_json_dict,
+    elimination_order,
     to_nice,
     treewidth_exact,
     validate,
@@ -83,8 +84,18 @@ def test_treewidth_matches_brute_force_random():
 
 
 def test_treewidth_limit():
+    # the limit bounds each connected component, not the graph
+    assert TREEWIDTH_LIMIT == 14
     with pytest.raises(LimitError):
-        treewidth_exact(Graph(TREEWIDTH_LIMIT + 1, ()))
+        treewidth_exact(named_pattern("P15"))
+    with pytest.raises(LimitError):
+        elimination_order(named_pattern("P15"))
+    assert treewidth_exact(Graph(15, ()))[0] == 0
+    triangles = Graph(0)
+    for _ in range(5):
+        triangles = disjoint_union(triangles, named_pattern("K3"))
+    width, td = treewidth_exact(triangles)
+    assert width == 2 and validate(td, triangles) is None
 
 
 def test_decompositions_validate():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from motifbasis import homcount
-from motifbasis.decomp import treewidth_exact
+from motifbasis.decomp import elimination_order
 from motifbasis.graphs import (
     AnchoredGraph,
     Graph,
@@ -22,13 +22,12 @@ from motifbasis.homcount import (
     HostGraph,
     WidthGuardError,
     _compile_buckets,
-    _component_plans,
-    _elimination_order,
     _kernel,
     _node,
+    _plan,
     _requests,
     _run_plan,
-    _term_plans,
+    _term_plan,
     batch_evaluate,
     batch_term_counts,
     check_width_guard,
@@ -94,14 +93,25 @@ def test_hom_count_random():
 
 def test_hom_count_node_random():
     rng = random.Random(52)
-    for _ in range(80):
-        f = random_graph(rng, rng.randint(1, 5))
-        a = AnchoredGraph(f, rng.randrange(f.n))
+    k3, k1 = named_pattern("K3"), Graph(1)
+    # disconnected: an isolated anchor, or components before the anchor's
+    fixed = [AnchoredGraph(disjoint_union(k3, k1), 3),
+             AnchoredGraph(disjoint_union(k1, k3), 0),
+             AnchoredGraph(disjoint_union(disjoint_union(
+                 named_pattern("K2"), k1), k3), 2),
+             AnchoredGraph(disjoint_union(k3, k1), 1),
+             AnchoredGraph(disjoint_union(k1, named_pattern("P3")), 2)]
+    for i in range(80 + 2 * len(fixed)):
+        if i < 80:
+            f = random_graph(rng, rng.randint(1, 5))
+            a = AnchoredGraph(f, rng.randrange(f.n))
+        else:
+            a = fixed[i % len(fixed)]
         h = random_graph(rng, rng.randint(1, 6))
         got = hom_count_node(a, HostGraph.from_graph(h))
         assert list(got.values) == brute_hom_node(a, h)
         assert got.key == canonical_key(a)
-        assert got.total() == brute_hom(f, h)
+        assert got.total() == brute_hom(a.graph, h)
 
 
 def test_hom_count_rejects_bad_input():
@@ -161,15 +171,15 @@ def test_plan_quality_on_anchored_c8_basis():
     ops = leaves = unfiltered = 0
     nodes = set()
     for t in anchored_spasm_of(named_pattern("C8@0")).terms:
-        for root, _, _ in _component_plans(t.graph.graph, t.graph.anchor):
-            tree = [root]  # every op of the plan, shared sub-plans repeated
-            while tree:
-                node = tree.pop()
-                tree.extend(node.kids)
-                nodes.add(node)
-                ops += 1
-                leaves += node.op[0] == "leaf"
-                unfiltered += node.op[0] == "intro" and not node.op[2]
+        # every op of the plan, shared sub-plans repeated
+        tree = [_plan(t.graph.graph, t.graph.anchor)[0]]
+        while tree:
+            node = tree.pop()
+            tree.extend(node.kids)
+            nodes.add(node)
+            ops += 1
+            leaves += node.op[0] == "leaf"
+            unfiltered += node.op[0] == "intro" and not node.op[2]
     assert leaves == 164
     assert unfiltered == leaves
     assert ops < 887
@@ -216,10 +226,10 @@ def test_compile_interns_only_reachable_nodes():
     # a bucket's top op is interned only once no later bucket can still
     # fuse a forget into it
     _node.cache_clear()
-    _component_plans.cache_clear()
+    _plan.cache_clear()
     _requests.cache_clear()
     terms = [t.graph for t in anchored_spasm_of(named_pattern("C8@0")).terms]
-    roots = tuple(r for t in terms for r, _, _ in _term_plans(t))
+    roots = tuple(_term_plan(t)[0] for t in terms)
     assert _node.cache_info().currsize == len(_requests(roots)) == 184
 
 
@@ -239,13 +249,12 @@ def test_every_join_child_forgets():
     # bag's own vertex, so no join child is a bare edge indicator
     for f in enumerate_connected_graphs(1, 6):
         for a in (None, *range(f.n)):
-            for root, _, _ in _component_plans(f, a):
-                todo = [root]
-                while todo:
-                    node = todo.pop()
-                    todo.extend(node.kids)
-                    if node.op[0] == "join":
-                        assert all(map(_forgets, node.kids)), (f, a)
+            todo = [_plan(f, a)[0]]
+            while todo:
+                node = todo.pop()
+                todo.extend(node.kids)
+                if node.op[0] == "join":
+                    assert all(map(_forgets, node.kids)), (f, a)
 
 
 def test_no_introduce_without_a_neighbour_above_a_table():
@@ -253,13 +262,12 @@ def test_no_introduce_without_a_neighbour_above_a_table():
     # one over a non-empty key builds n times its table
     for f in enumerate_connected_graphs(1, 6):
         for a in (None, *range(f.n)):
-            for root, _, _ in _component_plans(f, a):
-                todo = [root]
-                while todo:
-                    node = todo.pop()
-                    todo.extend(node.kids)
-                    if node.op[0] == "intro" and not node.op[2]:
-                        assert node.kids[0].size == 0, (f, a)
+            todo = [_plan(f, a)[0]]
+            while todo:
+                node = todo.pop()
+                todo.extend(node.kids)
+                if node.op[0] == "intro" and not node.op[2]:
+                    assert node.kids[0].size == 0, (f, a)
 
 
 def _signature_classes(op, arity, tables, host):
@@ -293,9 +301,8 @@ def test_kernels_match_oracle(monkeypatch):
     for f in enumerate_connected_graphs(1, 5) + [named_pattern("K6")]:
         # the reversed elimination order gives plans with signatures the
         # engine's own plans never hold
-        _, td = treewidth_exact(f)
         reversed_plan = _compile_buckets(
-            f, _elimination_order(td.bags)[::-1], False)
+            f, elimination_order(f)[1][::-1], False)
         for _ in range(2):
             h = random_graph(rng, rng.randint(1, 7))
             host = HostGraph.from_graph(h)
@@ -324,11 +331,11 @@ def test_kernels_match_oracle(monkeypatch):
 
 
 def test_kernels_compile_on_first_run():
-    _component_plans.cache_clear()
+    _plan.cache_clear()
     _kernel.cache_clear()
     terms = [t.graph for t in spasm_of(named_pattern("C6")).terms]
     widths = [plan_width(t) for t in terms]  # compiles every plan
-    assert max(widths) == 2 and _component_plans.cache_info().currsize
+    assert max(widths) == 2 and _plan.cache_info().currsize
     assert _kernel.cache_info().currsize == 0
     host = random_host(random.Random(71), 6)
     term_counts_for_host(terms, host)
@@ -365,6 +372,7 @@ def test_plan_width_and_guard():
     assert plan_width(named_pattern("K6")) == 5
     assert plan_width(named_pattern("C8")) == 2
     assert plan_width(AnchoredGraph(named_pattern("C8"), 0)) == 2
+    assert plan_width(Graph(0)) == -1
     # K5 plans stay under the guard, K6 trips it on a huge host
     check_width_guard(named_pattern("K5"), 200_000)
     check_width_guard(named_pattern("K6"), 100_000)

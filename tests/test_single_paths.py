@@ -209,7 +209,7 @@ def test_each_subplan_computed_once_per_row(seed, monkeypatch):
 
     monkeypatch.setattr(homcount, "_kernel", counting)
     for terms, hosts in term_lists(200 + seed, 8):
-        todo = [root for t in terms for root, _, _ in homcount._term_plans(t)]
+        todo = [homcount._term_plan(t)[0] for t in terms]
         nodes = set()
         while todo:
             node = todo.pop()

@@ -38,7 +38,6 @@ from motifbasis.spasm import (
     as_dict,
     combination_from_json,
     combination_to_json,
-    connected_component_support,
     filter_min_treewidth,
     indsub_expansion,
     indsub_property_param,
@@ -287,13 +286,6 @@ def test_spasm_rejects_bad_input():
         anchored_spasm_of(named_pattern("C4"))
     with pytest.raises(LimitError):
         spasm_of(named_pattern("C13"))
-
-
-def test_connected_component_support():
-    u = disjoint_union(named_pattern("K3"), named_pattern("P3"))
-    comps = connected_component_support([u, named_pattern("K3")])
-    assert len(comps) == 2
-    assert {canonical_key(g) for g in comps} == {key_of("K3"), key_of("P3")}
 
 
 def test_combination_json_roundtrip():

@@ -115,6 +115,9 @@ def expand_pattern_specs(specs: list[str],
             if m:
                 k = int(m.group(1))
                 lo = 1 if include_singleton else 2
+                if k < lo:
+                    raise UsageError(f"{item} holds no pattern: need k >= 2,"
+                                     " or k = 1 with --include-singleton")
                 out.extend(enumerate_connected_graphs(lo, k))
             else:
                 out.append(parse_pattern_spec(item))

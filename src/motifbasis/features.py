@@ -335,11 +335,17 @@ def encode(m: FeatureMatrix, spec: EncodingSpec) -> FeatureMatrix:
         raise ValueError("encode expects a raw matrix")
     if spec.kind != "sinusoidal":
         if spec.kind == "raw":
-            def cell(j, x):
+            def cell(rid, j, x):
                 return format_exact(x)
         elif spec.kind == "log1p":
-            def cell(j, x):
-                return math.log1p(_nearest_double(x))
+            def cell(rid, j, x):
+                d = _nearest_double(x)
+                if d <= -1:
+                    raise ValueError(
+                        f"log1p encoding needs values above -1; row {rid!r}"
+                        f" column {m.columns[j].name!r} holds"
+                        f" {format_exact(x)}")
+                return math.log1p(d)
         else:  # zscore: column stats first
             if len(m.rows) < 2:
                 raise ValueError("zscore needs at least 2 rows")
@@ -355,11 +361,12 @@ def encode(m: FeatureMatrix, spec: EncodingSpec) -> FeatureMatrix:
                 std = math.sqrt(var)
                 cols.append((mean, std if std > 0 else 1.0))
 
-            def cell(j, x):
+            def cell(rid, j, x):
                 return (_nearest_double(x) - cols[j][0]) / cols[j][1]
         rows = tuple(
-            tuple(None if x is None else cell(j, x) for j, x in enumerate(row))
-            for row in m.rows
+            tuple(None if x is None else cell(rid, j, x)
+                  for j, x in enumerate(row))
+            for rid, row in zip(m.row_ids, m.rows)
         )
         return FeatureMatrix(m.level, m.columns, m.row_ids, rows,
                              m.failures, encoding=spec.kind)

@@ -8,8 +8,10 @@ Graphs are immutable and hashable so they can key caches directly.
 Canonical forms are computed by color refinement plus an
 individualization-refinement search that prunes automorphic branches, which
 keeps highly symmetric inputs (cliques, cycles) far away from factorial
-blowup.  The canonical key doubles as the cross-process cache identity, so
-its byte layout must never depend on dict ordering or hash seeds.
+blowup.  One cached search per graph (`_canon`) gives the canonical form,
+the canonical key and the automorphism count.  The canonical key doubles as
+the cross-process cache identity, so its byte layout must never depend on
+dict ordering or hash seeds.
 """
 
 from __future__ import annotations
@@ -334,15 +336,20 @@ def _find_color_automorphism(
     return dfs(0)
 
 
-def _orbit_reps(
+def _orbits(
     adj: tuple[frozenset[int], ...], colors: list[int], cell: list[int]
-) -> list[int]:
-    """One representative per automorphism orbit within a color cell."""
-    reps: list[int] = []
+) -> list[list[int]]:
+    """Automorphism orbits within a color cell, in cell order; each orbit
+    starts with its first vertex, so the first orbit holds cell[0]."""
+    orbits: list[list[int]] = []
     for v in cell:
-        if not any(_find_color_automorphism(adj, colors, v, r) for r in reps):
-            reps.append(v)
-    return reps
+        for orbit in orbits:
+            if _find_color_automorphism(adj, colors, v, orbit[0]):
+                orbit.append(v)
+                break
+        else:
+            orbits.append([v])
+    return orbits
 
 
 def _adjacency_code(adj: tuple[frozenset[int], ...], order: list[int]) -> int:
@@ -358,21 +365,24 @@ def _adjacency_code(adj: tuple[frozenset[int], ...], order: list[int]) -> int:
 
 def _canonical_order(
     adj: tuple[frozenset[int], ...], init_colors: list[int]
-) -> tuple[int, ...]:
-    """Vertex order minimizing the packed adjacency code.
+) -> tuple[tuple[int, ...], int]:
+    """Vertex order minimizing the packed adjacency code, and the order of
+    the group of color-preserving automorphisms.
 
     Individualization-refinement: refine, branch on one orbit
     representative per choice in the first non-singleton cell, take the
     lexicographically smallest leaf.  Initial colors let callers pin an
     anchor to its own class (smaller color sorts first, so an anchor
-    colored 0 always lands at canonical position 0).
+    colored 0 always lands at canonical position 0).  The group order
+    falls out of the same tree by orbit-stabilizer: |orbit of the target
+    cell's first vertex| times the order its branch returns.
     """
     n = len(adj)
     if n == 0:
-        return ()
+        return (), 1
     best: list[Optional[tuple[int, tuple[int, ...]]]] = [None]
 
-    def explore(colors: list[int]) -> None:
+    def explore(colors: list[int]) -> int:
         colors = _refine(adj, colors)
         cells = _color_classes(colors)
         target = next((c for c in cells if len(c) > 1), None)
@@ -383,27 +393,32 @@ def _canonical_order(
             code = _adjacency_code(adj, order)
             if best[0] is None or code < best[0][0]:
                 best[0] = (code, tuple(order))
-            return
-        for v in _orbit_reps(adj, colors, target):
+            return 1
+        orders = []
+        for orbit in _orbits(adj, colors, target):
             branched = [2 * c for c in colors]
-            branched[v] = 2 * colors[v] - 1
-            explore(branched)
+            branched[orbit[0]] = 2 * colors[orbit[0]] - 1
+            orders.append(len(orbit) * explore(branched))
+        return orders[0]
 
-    explore(list(init_colors))
+    aut = explore(list(init_colors))
     assert best[0] is not None
-    return best[0][1]
+    return best[0][1], aut
 
 
 @lru_cache(maxsize=100_000)
-def _canon_cached(
+def _canon(
     n: int, edges: tuple[tuple[int, int], ...], anchor: Optional[int]
-) -> tuple[tuple[int, ...], ...]:
+) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], str, int]:
+    """(canonical edges, perm, canonical key, automorphism count) of the
+    graph, anchor-preserving when anchor is not None: one search, cached
+    by edge tuple.  The only place a canonical key is made."""
     g = Graph(n, edges)
     init = [0] * n
     if anchor is not None:
         init = [1] * n
         init[anchor] = 0
-    order = _canonical_order(g._adj, init)
+    order, aut = _canonical_order(g._adj, init)
     perm = [0] * n  # perm[old] = new
     for pos, v in enumerate(order):
         perm[v] = pos
@@ -411,7 +426,10 @@ def _canon_cached(
         (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
         for u, v in edges
     ))
-    return canon_edges, tuple(perm)
+    key = format_graph6(Graph(n, canon_edges))
+    if anchor is not None:
+        key = f"{key}@{perm[anchor]}"
+    return canon_edges, tuple(perm), key, aut
 
 
 def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
@@ -420,26 +438,23 @@ def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     Returns (canonical graph, perm) with perm[old] = new; isomorphic inputs
     share the canonical graph byte for byte.
     """
-    canon_edges, perm = _canon_cached(g.n, g.edges, None)
+    canon_edges, perm, _, _ = _canon(g.n, g.edges, None)
     return Graph(g.n, canon_edges), perm
 
 
 def canonical_form_anchored(ag: AnchoredGraph) -> tuple[AnchoredGraph, tuple[int, ...]]:
     """Canonical form respecting the anchor; the anchor always maps to 0."""
-    canon_edges, perm = _canon_cached(ag.n, ag.graph.edges, ag.anchor)
+    canon_edges, perm, _, _ = _canon(ag.n, ag.graph.edges, ag.anchor)
     return AnchoredGraph(Graph(ag.n, canon_edges), perm[ag.anchor]), perm
 
 
-@lru_cache(maxsize=100_000)
 def canonical_key(obj: PatternLike) -> str:
     """Stable text identity: graph6 of the canonical form, plus "@<anchor>"
     for anchored graphs.  Equal strings iff isomorphic (anchor-preserving
-    for anchored inputs).  Cached per graph, like the canonical forms."""
+    for anchored inputs)."""
     if isinstance(obj, AnchoredGraph):
-        cg, _ = canonical_form_anchored(obj)
-        return f"{format_graph6(cg.graph)}@{cg.anchor}"
-    cg, _ = canonical_form(obj)
-    return format_graph6(cg)
+        return _canon(obj.n, obj.graph.edges, obj.anchor)[2]
+    return _canon(obj.n, obj.edges, None)[2]
 
 
 def is_isomorphic(a: PatternLike, b: PatternLike) -> bool:
@@ -451,42 +466,17 @@ def is_isomorphic(a: PatternLike, b: PatternLike) -> bool:
         raise TypeError("cannot compare anchored with unanchored graph")
     if a.n != b.n or a.m != b.m:
         return False
-    if isinstance(a, AnchoredGraph):
-        return canonical_form_anchored(a)[0] == canonical_form_anchored(b)[0]
-    return canonical_form(a)[0] == canonical_form(b)[0]
+    return canonical_key(a) == canonical_key(b)
 
 
 def automorphism_count(g: Graph) -> int:
-    """Order of the automorphism group, via orbit-stabilizer.
-
-    Refine; if the coloring is discrete the group is trivial; otherwise the
-    group order is |orbit of v| times the order of v's stabilizer, where v
-    is the first vertex of the first non-singleton cell and the stabilizer
-    is counted recursively with v individualized.
-    """
-    return _aut_count(g._adj, [0] * g.n)
+    """Order of the automorphism group, read off the canonical search."""
+    return _canon(g.n, g.edges, None)[3]
 
 
 def anchored_automorphism_count(ag: AnchoredGraph) -> int:
     """Automorphisms fixing the anchor."""
-    init = [1] * ag.n
-    init[ag.anchor] = 0
-    return _aut_count(ag.graph._adj, init)
-
-
-def _aut_count(adj: tuple[frozenset[int], ...], colors: list[int]) -> int:
-    if not adj:
-        return 1
-    colors = _refine(adj, list(colors))
-    cells = _color_classes(colors)
-    target = next((c for c in cells if len(c) > 1), None)
-    if target is None:
-        return 1
-    v = target[0]
-    orbit = sum(1 for u in target if _find_color_automorphism(adj, colors, u, v))
-    branched = [2 * c for c in colors]
-    branched[v] = 2 * colors[v] - 1
-    return orbit * _aut_count(adj, branched)
+    return _canon(ag.n, ag.graph.edges, ag.anchor)[3]
 
 
 # === composition, components ===
@@ -565,9 +555,10 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
         for mask in range(1 << (n - 1)):
             extra = [(v, n - 1) for v in range(n - 1) if mask >> v & 1]
             g = Graph(n, list(base.edges) + extra)
-            cg, _ = canonical_form(g)
-            out.setdefault(format_graph6(cg), cg)
-    return tuple(sorted(out.values(), key=lambda g: (g.m, format_graph6(g))))
+            key = canonical_key(g)
+            if key not in out:
+                out[key] = canonical_form(g)[0]
+    return tuple(out[k] for k in sorted(out, key=lambda k: (out[k].m, k)))
 
 
 def enumerate_graphs(n: int) -> list[Graph]:

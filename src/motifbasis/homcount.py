@@ -64,7 +64,14 @@ from .graphs import (
     canonical_key,
     validated_edges,
 )
-from .spasm import GRAPH_LEVEL, HOM_BASIS, NODE_LEVEL, LinearCombination
+from .spasm import (
+    GRAPH_LEVEL,
+    HOM_BASIS,
+    NODE_LEVEL,
+    BasisTerm,
+    LinearCombination,
+    term_sort_key,
+)
 
 # refuse n^(width+1) style blowups unless explicitly overridden
 WIDTH_GUARD_WIDTH = 5
@@ -599,17 +606,17 @@ def dedupe_terms(
     Term order is the global (vertex count, edge count, canonical key)
     order, which fixes column order for every downstream consumer.
     """
-    by_key: dict[str, PatternLike] = {}
+    by_key: dict[str, BasisTerm] = {}
     for c in params:
         for t in c.terms:
-            by_key.setdefault(canonical_key(t.graph), t.graph)
-    keys = sorted(by_key, key=lambda k: (by_key[k].n, by_key[k].m, k))
-    index = {k: i for i, k in enumerate(keys)}
+            by_key.setdefault(canonical_key(t.graph), t)
+    terms = sorted(by_key.values(), key=term_sort_key)
+    index = {canonical_key(t.graph): i for i, t in enumerate(terms)}
     refs = [
         [(index[canonical_key(t.graph)], t.coefficient) for t in c.terms]
         for c in params
     ]
-    return [by_key[k] for k in keys], refs
+    return [t.graph for t in terms], refs
 
 
 def term_counts_for_host(terms: Sequence[PatternLike], host: HostGraph,

@@ -9,7 +9,8 @@ all partitions producing it, divided by |Aut(P)|.  Anchored (per-vertex)
 variants use anchor-preserving quotients and anchor-fixing automorphisms.
 
 Everything here is a pure transformation; the expensive entry points are
-memoized on canonical forms, so repeated patterns are free.
+memoized on canonical forms, so repeated patterns are free.  Canonical
+forms, keys and automorphism counts are reads of one cached search each.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .graphs import (
     canonical_form,
     canonical_form_anchored,
     canonical_key,
-    enumerate_graphs,
     enumerate_partitions,
     format_graph6,
     parse_graph6,
@@ -129,17 +129,11 @@ def _canonical(g: PatternLike) -> PatternLike:
     return canonical_form(g)[0]
 
 
-def _g6_key(g: PatternLike) -> str:
-    """canonical_key of a graph that is already in canonical form."""
+def _identity(g: PatternLike) -> tuple[PatternLike, str, int]:
+    """Canonical form, key and automorphism count: reads of g's search."""
     if isinstance(g, AnchoredGraph):
-        return f"{format_graph6(g.graph)}@{g.anchor}"
-    return format_graph6(g)
-
-
-def _aut(g: PatternLike) -> int:
-    if isinstance(g, AnchoredGraph):
-        return anchored_automorphism_count(g)
-    return automorphism_count(g)
+        return _canonical(g), canonical_key(g), anchored_automorphism_count(g)
+    return _canonical(g), canonical_key(g), automorphism_count(g)
 
 
 # === subgraph-count expansions ===
@@ -161,10 +155,12 @@ def _check_pattern(pattern: PatternLike) -> None:
 
 
 @lru_cache(maxsize=None)
-def _quotient_sum(pattern: PatternLike) -> tuple[tuple[PatternLike, int], ...]:
+def _quotient_sum(
+    pattern: PatternLike,
+) -> tuple[tuple[str, PatternLike, int], ...]:
     """Inj(pattern, .) over Hom counts, for a canonical pattern: one
-    (canonical quotient, summed Moebius weight) pair per isomorphism class
-    of loop-free quotients, anchor-preserving for an AnchoredGraph.
+    (key, canonical quotient, summed Moebius weight) triple per isomorphism
+    class of loop-free quotients, anchor-preserving for an AnchoredGraph.
     Classes whose weights cancel are left out."""
     anchored = isinstance(pattern, AnchoredGraph)
     acc: dict[str, tuple[PatternLike, int]] = {}
@@ -174,9 +170,8 @@ def _quotient_sum(pattern: PatternLike) -> tuple[tuple[PatternLike, int], ...]:
         else:
             q, had_loop = quotient(pattern, p)
         if not had_loop:
-            cq = _canonical(q)
-            _accumulate(acc, _g6_key(cq), cq, _mobius_weight(p))
-    return tuple((g, w) for g, w in acc.values() if w)
+            _accumulate(acc, canonical_key(q), _canonical(q), _mobius_weight(p))
+    return tuple((key, g, w) for key, (g, w) in acc.items() if w)
 
 
 def spasm_of(pattern: Graph) -> LinearCombination:
@@ -189,7 +184,7 @@ def spasm_of(pattern: Graph) -> LinearCombination:
     if isinstance(pattern, AnchoredGraph):
         raise TypeError("use anchored_spasm_of for anchored patterns")
     _check_pattern(pattern)
-    return _sub_expansion(_canonical(pattern))
+    return _sub_expansion(*_identity(pattern))
 
 
 def anchored_spasm_of(pattern: AnchoredGraph) -> LinearCombination:
@@ -201,19 +196,20 @@ def anchored_spasm_of(pattern: AnchoredGraph) -> LinearCombination:
     if not isinstance(pattern, AnchoredGraph):
         raise TypeError("anchored_spasm_of needs an AnchoredGraph")
     _check_pattern(pattern.graph)
-    return _sub_expansion(_canonical(pattern))
+    return _sub_expansion(*_identity(pattern))
 
 
 @lru_cache(maxsize=None)
-def _sub_expansion(pattern: PatternLike) -> LinearCombination:
-    """Sub = Inj / Aut for a canonical pattern, at graph level for a
-    Graph and at node level for an AnchoredGraph."""
-    aut = _aut(pattern)
+def _sub_expansion(pattern: PatternLike, key: str,
+                   aut: int) -> LinearCombination:
+    """Sub = Inj / Aut for a canonical pattern with that key and
+    automorphism count, at graph level for a Graph and at node level for
+    an AnchoredGraph."""
     level = NODE_LEVEL if isinstance(pattern, AnchoredGraph) else GRAPH_LEVEL
     return _assemble(
         HOM_BASIS, level,
-        {_g6_key(g): (g, Fraction(w, aut)) for g, w in _quotient_sum(pattern)},
-        provenance=f"Sub[{_g6_key(pattern)}]",
+        {k: (g, Fraction(w, aut)) for k, g, w in _quotient_sum(pattern)},
+        provenance=f"Sub[{key}]",
     )
 
 
@@ -226,11 +222,10 @@ def inj_expansion(pattern: PatternLike) -> LinearCombination:
     way.
     """
     _check_pattern(pattern)
-    cp = _canonical(pattern)
-    base = _sub_expansion(cp)
-    aut = _aut(cp)
+    cp, key, aut = _identity(pattern)
+    base = _sub_expansion(cp, key, aut)
     terms = tuple(BasisTerm(t.graph, t.coefficient * aut) for t in base.terms)
-    return LinearCombination(HOM_BASIS, base.level, terms, f"Inj[{_g6_key(cp)}]")
+    return LinearCombination(HOM_BASIS, base.level, terms, f"Inj[{key}]")
 
 
 # === induced-subgraph expansions ===
@@ -261,30 +256,29 @@ def indsub_expansion(pattern: Graph) -> LinearCombination:
             f"induced expansion limited to {INDSUB_NONEDGE_LIMIT} non-edges,"
             f" got {len(non_edges)}"
         )
-    cp, _ = canonical_form(pattern)
-    return _indsub_cached(cp)
+    return _indsub_cached(*_identity(pattern))
 
 
 @lru_cache(maxsize=None)
-def _indsub_cached(pattern: Graph) -> LinearCombination:
+def _indsub_cached(pattern: Graph, key: str, aut: int) -> LinearCombination:
     non_edges = [e for e in combinations(range(pattern.n), 2)
                  if not pattern.has_edge(*e)]
     # signed multiplicity of each supergraph class
     signed: dict[str, tuple[Graph, int]] = {}
     for mask in range(1 << len(non_edges)):
         extra = [non_edges[i] for i in range(len(non_edges)) if mask >> i & 1]
-        sup, _ = canonical_form(Graph(pattern.n, list(pattern.edges) + extra))
-        _accumulate(signed, format_graph6(sup), sup,
+        sup = Graph(pattern.n, list(pattern.edges) + extra)
+        _accumulate(signed, canonical_key(sup), canonical_form(sup)[0],
                     -1 if mask.bit_count() % 2 else 1)
-    inv_aut = Fraction(1, automorphism_count(pattern))
+    inv_aut = Fraction(1, aut)
     acc: dict[str, tuple[Graph, Fraction]] = {}
     for sup, count in signed.values():
         if count == 0:
             continue
-        for g, w in _quotient_sum(sup):
-            _accumulate(acc, format_graph6(g), g, inv_aut * count * w)
+        for k, g, w in _quotient_sum(sup):
+            _accumulate(acc, k, g, inv_aut * count * w)
     return _assemble(HOM_BASIS, GRAPH_LEVEL, acc,
-                     provenance=f"IndSub[{format_graph6(pattern)}]")
+                     provenance=f"IndSub[{key}]")
 
 
 @lru_cache(maxsize=None)
@@ -294,6 +288,7 @@ def _mask_class_table(k: int):
     Built by orbit closure under adjacent transpositions: one
     canonicalization per isomorphism class, everything else is bit
     shuffling.  k=7 means 2^21 masks; lazy and cached for a reason.
+    `reps` maps each key to (canonical graph, |Aut|, one mask of the class).
     """
     pairs = list(combinations(range(k), 2))
     idx = {e: i for i, e in enumerate(pairs)}
@@ -304,14 +299,13 @@ def _mask_class_table(k: int):
             idx[tuple(sorted((swap(a), swap(b))))] for a, b in pairs
         ])
     table: list = [None] * (1 << len(pairs))
-    reps: dict[str, Graph] = {}
+    reps: dict[str, tuple[Graph, int, int]] = {}
     for mask in range(len(table)):
         if table[mask] is not None:
             continue
         g = Graph(k, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
-        cg, _ = canonical_form(g)
-        key = format_graph6(cg)
-        reps.setdefault(key, cg)
+        key = canonical_key(g)
+        reps[key] = (canonical_form(g)[0], automorphism_count(g), mask)
         table[mask] = key
         stack = [mask]
         while stack:
@@ -346,15 +340,11 @@ def indsub_property_param(k: int, prop: Callable[[Graph], bool],
             f" got {k}"
         )
     pairs, table, reps = _mask_class_table(k)
-    pair_idx = {e: i for i, e in enumerate(pairs)}
     signed: dict[str, Fraction] = {}
-    for f in enumerate_graphs(k):
+    for f, aut, fmask in reps.values():
         if not prop(f):
             continue
-        inv_aut = Fraction(1, automorphism_count(f))
-        fmask = 0
-        for e in f.edges:
-            fmask |= 1 << pair_idx[e]
+        inv_aut = Fraction(1, aut)
         free = [i for i in range(len(pairs)) if not fmask >> i & 1]
         for s in range(1 << len(free)):
             m = fmask
@@ -370,8 +360,8 @@ def indsub_property_param(k: int, prop: Callable[[Graph], bool],
     for key, mult in signed.items():
         if mult == 0:
             continue
-        for g, w in _quotient_sum(reps[key]):
-            _accumulate(acc, format_graph6(g), g, mult * w)
+        for qkey, g, w in _quotient_sum(reps[key][0]):
+            _accumulate(acc, qkey, g, mult * w)
     return _assemble(HOM_BASIS, GRAPH_LEVEL, acc,
                      provenance=label or f"IndSub[k={k}]")
 
@@ -384,9 +374,8 @@ def always_true(_: Graph) -> bool:
 
 
 def isomorphic_to(target: Graph) -> Callable[[Graph], bool]:
-    ct, _ = canonical_form(target)
-    key = format_graph6(ct)
-    return lambda g: g.n == ct.n and format_graph6(canonical_form(g)[0]) == key
+    key = canonical_key(target)
+    return lambda g: g.n == target.n and canonical_key(g) == key
 
 
 # === combination algebra ===
@@ -399,8 +388,8 @@ def simplify(c: LinearCombination) -> LinearCombination:
     """
     acc: dict[str, tuple[PatternLike, Fraction]] = {}
     for t in c.terms:
-        g = _canonical(t.graph)
-        _accumulate(acc, _g6_key(g), g, t.coefficient)
+        _accumulate(acc, canonical_key(t.graph), _canonical(t.graph),
+                    t.coefficient)
     return _assemble(c.basis_kind, c.level, acc, c.provenance)
 
 

@@ -53,6 +53,10 @@ def test_expand_pattern_specs():
         expand_pattern_specs([], include_singleton=False)
     with pytest.raises(UsageError):
         expand_pattern_specs([" , "], include_singleton=False)
+    with pytest.raises(UsageError, match="omega-con-1.*--include-singleton"):
+        expand_pattern_specs(["omega-con-1"], include_singleton=False)
+    with pytest.raises(UsageError, match="omega-con-0.*--include-singleton"):
+        expand_pattern_specs(["omega-con-0"], include_singleton=True)
 
 
 def test_build_combination_modes():

@@ -258,6 +258,17 @@ def test_log1p_overflow_saturates():
     assert e.rows[0][0] == math.inf and e.rows[1][0] == 0.0
 
 
+def test_log1p_rejects_values_at_or_below_minus_one():
+    cols = zscore_matrix().columns
+    m = FeatureMatrix(GRAPH_LEVEL, cols, ("a", "k6"),
+                      ((Fraction(0),), (Fraction(-475, 2),)))
+    with pytest.raises(ValueError, match=r"row 'k6' column .* -475/2"):
+        encode(m, EncodingSpec("log1p"))
+    m = FeatureMatrix(GRAPH_LEVEL, cols, ("a",), ((Fraction(-1),),))
+    with pytest.raises(ValueError, match="above -1"):
+        encode(m, EncodingSpec("log1p"))
+
+
 def test_zscore_encoding():
     e = encode(zscore_matrix(), EncodingSpec("zscore"))
     col = [row[0] for row in e.rows]

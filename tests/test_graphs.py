@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -188,6 +189,8 @@ def test_automorphism_counts():
     for _ in range(25):
         g = random_graph(rng, rng.randint(1, 5))
         assert automorphism_count(g) == perm_automorphism_count(g)
+    for g in relabelled_small_graphs(15):
+        assert automorphism_count(g) == perm_automorphism_count(g)
 
 
 def test_anchored_automorphism_counts():
@@ -201,6 +204,47 @@ def test_anchored_automorphism_counts():
     per_anchor = [anchored_automorphism_count(AnchoredGraph(p3, v))
                   for v in range(3)]
     assert per_anchor == [1, 2, 1]
+    pairs = 0
+    for g in relabelled_small_graphs(16):
+        edges = set(g.edges)
+        auts = [p for p in itertools.permutations(range(g.n))
+                if {tuple(sorted((p[u], p[v]))) for u, v in edges} == edges]
+        for a in range(g.n):
+            fixing = sum(1 for p in auts if p[a] == a)
+            assert anchored_automorphism_count(AnchoredGraph(g, a)) == fixing
+            pairs += 1
+    assert pairs == 1167
+
+
+def relabelled_small_graphs(seed):
+    """Every graph on 1..6 vertices, each under a seeded random relabelling."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            out.append(g.relabel(perm))
+    assert len(out) == 208
+    return out
+
+
+# SHA-256 of every canonical key of relabelled_small_graphs(17), plain and
+# at every anchor; frozen from the implementation before the canonical
+# search also counted automorphisms.  Keys name cache entries and feature
+# columns, so they must not move.
+CANONICAL_KEY_DIGEST = (
+    "069ae0fc56dcf0f061f18f6a4022a2efd04d35ccd7a2f318ce86e078c846edb1")
+
+
+def test_canonical_key_digest():
+    lines = []
+    for g in relabelled_small_graphs(17):
+        lines.append(canonical_key(g))
+        lines.extend(canonical_key(AnchoredGraph(g, a)) for a in range(g.n))
+    assert len(lines) == 208 + 1167
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CANONICAL_KEY_DIGEST
 
 
 def test_disjoint_union_and_product():

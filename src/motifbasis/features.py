@@ -243,8 +243,9 @@ def compute_features(ds: Dataset, params: Sequence[LinearCombination],
     global term order, plus one derived-value column per input parameter.
 
     Graph level yields one row per host; node level one row per host
-    vertex with ids "<gid>:<v>".  A host that trips a resource limit
-    contributes all-empty rows and a failure record, and the run goes on.
+    vertex with ids "<gid>:<v>".  A host that trips the width guard
+    contributes all-empty rows and a failure record, and the run goes on;
+    a limit that depends on the terms alone raises LimitError.
     Output is identical for every jobs setting.
     """
     params = list(params)

@@ -204,17 +204,18 @@ class Partition:
         return f"Partition({inner})"
 
 
-def enumerate_partitions(n: int, limit: int = PARTITION_LIMIT) -> Iterator[Partition]:
+def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of 0..n-1 in restricted-growth lexicographic order.
 
-    Yields exactly Bell(n) partitions.  Refuses n beyond `limit`; Bell(12)
-    is 4213597 and already minutes of downstream work, Bell(13) is not a
-    realistic sit-and-wait computation for callers of this library.
+    Yields exactly Bell(n) partitions.  Refuses n beyond PARTITION_LIMIT;
+    Bell(12) is 4213597 and already minutes of downstream work, Bell(13) is
+    not a realistic sit-and-wait computation for callers of this library.
     """
     if n < 1:
         raise ValueError("partition enumeration needs n >= 1")
-    if n > limit:
-        raise LimitError(f"partition enumeration limited to n <= {limit}, got {n}")
+    if n > PARTITION_LIMIT:
+        raise LimitError(f"partition enumeration limited to n <= {PARTITION_LIMIT},"
+                         f" got {n}")
     code = [0] * n
 
     def rec(i: int, num_blocks: int) -> Iterator[Partition]:

@@ -642,7 +642,7 @@ def _count_row(terms: Sequence[PatternLike], host: HostGraph,
                allow_wide: bool):
     try:
         return host.n, term_counts_for_host(terms, host, allow_wide)
-    except LimitError as e:
+    except WidthGuardError as e:  # the one limit that depends on the host
         return host.n, CountFailure(str(e))
 
 
@@ -651,9 +651,10 @@ def batch_term_counts(terms: Sequence[PatternLike],
                       allow_wide: bool = False) -> Iterator:
     """Stream of (host vertex count, term-count row) pairs, in host order.
 
-    The row is a CountFailure when the host tripped a resource limit; the
-    stream keeps going.  Results are identical for every jobs value;
-    workers only fan out the per-host work.
+    The row is a CountFailure when the host tripped the width guard; the
+    stream keeps going.  Limits that depend on the terms alone, such as
+    the treewidth limit, raise LimitError.  Results are identical for
+    every jobs value; workers only fan out the per-host work.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")

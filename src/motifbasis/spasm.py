@@ -8,9 +8,12 @@ a quotient class sums the Moebius weight prod_B (-1)^(|B|-1) (|B|-1)! over
 all partitions producing it, divided by |Aut(P)|.  Anchored (per-vertex)
 variants use anchor-preserving quotients and anchor-fixing automorphisms.
 
-Everything here is a pure transformation; the expensive entry points are
-memoized on canonical forms, so repeated patterns are free.  Canonical
-forms, keys and automorphism counts are reads of one cached search each.
+Everything here is a pure transformation, and every expansion is one
+integer fold (`_hom_sum`): integer multiplier times Moebius weight, summed
+per quotient class, then one Fraction per term.  The quotient sums and the
+induced expansions are memoized on canonical forms, so a repeated pattern
+skips its partition or supergraph walk.  Canonical forms, keys and
+automorphism counts are reads of one cached search each.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
-from typing import Callable
+from typing import Callable, Iterable
 
 from .decomp import elimination_order
 from .graphs import (
@@ -174,6 +177,25 @@ def _quotient_sum(
     return tuple((key, g, w) for key, (g, w) in acc.items() if w)
 
 
+def _hom_sum(level: str, pairs: Iterable[tuple[PatternLike, int]],
+             den: int, provenance: str) -> LinearCombination:
+    """sum_i mult_i * Inj(g_i, .) / den over homomorphism counts, for
+    (canonical pattern, integer multiplier) pairs: every expansion here.
+
+    Each quotient class sums mult * Moebius weight as an int, and becomes
+    one Fraction at the end.
+    """
+    acc: dict[str, tuple[PatternLike, int]] = {}
+    for g, mult in pairs:
+        for key, q, w in _quotient_sum(g):
+            _accumulate(acc, key, q, mult * w)
+    return _assemble(
+        HOM_BASIS, level,
+        {key: (q, Fraction(total, den)) for key, (q, total) in acc.items()},
+        provenance,
+    )
+
+
 def spasm_of(pattern: Graph) -> LinearCombination:
     """Expansion of Sub(pattern, .) over homomorphism counts.
 
@@ -184,7 +206,8 @@ def spasm_of(pattern: Graph) -> LinearCombination:
     if isinstance(pattern, AnchoredGraph):
         raise TypeError("use anchored_spasm_of for anchored patterns")
     _check_pattern(pattern)
-    return _sub_expansion(*_identity(pattern))
+    cp, key, aut = _identity(pattern)
+    return _hom_sum(GRAPH_LEVEL, [(cp, 1)], aut, f"Sub[{key}]")
 
 
 def anchored_spasm_of(pattern: AnchoredGraph) -> LinearCombination:
@@ -196,21 +219,8 @@ def anchored_spasm_of(pattern: AnchoredGraph) -> LinearCombination:
     if not isinstance(pattern, AnchoredGraph):
         raise TypeError("anchored_spasm_of needs an AnchoredGraph")
     _check_pattern(pattern.graph)
-    return _sub_expansion(*_identity(pattern))
-
-
-@lru_cache(maxsize=None)
-def _sub_expansion(pattern: PatternLike, key: str,
-                   aut: int) -> LinearCombination:
-    """Sub = Inj / Aut for a canonical pattern with that key and
-    automorphism count, at graph level for a Graph and at node level for
-    an AnchoredGraph."""
-    level = NODE_LEVEL if isinstance(pattern, AnchoredGraph) else GRAPH_LEVEL
-    return _assemble(
-        HOM_BASIS, level,
-        {k: (g, Fraction(w, aut)) for k, g, w in _quotient_sum(pattern)},
-        provenance=f"Sub[{key}]",
-    )
+    cp, key, aut = _identity(pattern)
+    return _hom_sum(NODE_LEVEL, [(cp, 1)], aut, f"Sub[{key}]")
 
 
 def inj_expansion(pattern: PatternLike) -> LinearCombination:
@@ -218,14 +228,12 @@ def inj_expansion(pattern: PatternLike) -> LinearCombination:
 
     Same quotient sum as spasm_of but without the 1/Aut normalization
     (Inj = Aut * Sub).  Accepts anchored patterns, giving the per-vertex
-    injective count with anchor-fixing automorphisms factored in the same
-    way.
+    injective count.
     """
     _check_pattern(pattern)
-    cp, key, aut = _identity(pattern)
-    base = _sub_expansion(cp, key, aut)
-    terms = tuple(BasisTerm(t.graph, t.coefficient * aut) for t in base.terms)
-    return LinearCombination(HOM_BASIS, base.level, terms, f"Inj[{key}]")
+    cp, key, _ = _identity(pattern)
+    level = NODE_LEVEL if isinstance(pattern, AnchoredGraph) else GRAPH_LEVEL
+    return _hom_sum(level, [(cp, 1)], 1, f"Inj[{key}]")
 
 
 # === induced-subgraph expansions ===
@@ -270,15 +278,9 @@ def _indsub_cached(pattern: Graph, key: str, aut: int) -> LinearCombination:
         sup = Graph(pattern.n, list(pattern.edges) + extra)
         _accumulate(signed, canonical_key(sup), canonical_form(sup)[0],
                     -1 if mask.bit_count() % 2 else 1)
-    inv_aut = Fraction(1, aut)
-    acc: dict[str, tuple[Graph, Fraction]] = {}
-    for sup, count in signed.values():
-        if count == 0:
-            continue
-        for k, g, w in _quotient_sum(sup):
-            _accumulate(acc, k, g, inv_aut * count * w)
-    return _assemble(HOM_BASIS, GRAPH_LEVEL, acc,
-                     provenance=f"IndSub[{key}]")
+    return _hom_sum(GRAPH_LEVEL,
+                    [(g, count) for g, count in signed.values() if count],
+                    aut, f"IndSub[{key}]")
 
 
 @lru_cache(maxsize=None)
@@ -286,18 +288,19 @@ def _mask_class_table(k: int):
     """Edge-bitmask -> canonical key for every labeled graph on k vertices.
 
     Built by orbit closure under adjacent transpositions: one
-    canonicalization per isomorphism class, everything else is bit
-    shuffling.  k=7 means 2^21 masks; lazy and cached for a reason.
+    canonicalization per isomorphism class, everything else is table
+    lookups.  k=7 means 2^21 masks; lazy and cached for a reason.
     `reps` maps each key to (canonical graph, |Aut|, one mask of the class).
     """
     pairs = list(combinations(range(k), 2))
     idx = {e: i for i, e in enumerate(pairs)}
-    remaps = []
+    remaps = []  # per transposition: one 128-entry table per 7-bit chunk
     for t in range(k - 1):
         swap = lambda v: t + 1 if v == t else t if v == t + 1 else v
-        remaps.append([
-            idx[tuple(sorted((swap(a), swap(b))))] for a, b in pairs
-        ])
+        bits = [1 << idx[tuple(sorted((swap(a), swap(b))))] for a, b in pairs]
+        bits += [0] * (21 - len(pairs))
+        remaps.append([[sum(bits[c + i] for i in range(7) if v >> i & 1)
+                        for v in range(128)] for c in (0, 7, 14)])
     table: list = [None] * (1 << len(pairs))
     reps: dict[str, tuple[Graph, int, int]] = {}
     for mask in range(len(table)):
@@ -310,17 +313,12 @@ def _mask_class_table(k: int):
         stack = [mask]
         while stack:
             m = stack.pop()
-            for posmap in remaps:
-                m2 = 0
-                rest = m
-                while rest:
-                    low = rest & -rest
-                    m2 |= 1 << posmap[low.bit_length() - 1]
-                    rest &= rest - 1
+            for c0, c1, c2 in remaps:
+                m2 = c0[m & 127] | c1[m >> 7 & 127] | c2[m >> 14]
                 if table[m2] is None:
                     table[m2] = key
                     stack.append(m2)
-    return pairs, table, reps
+    return table, reps
 
 
 def indsub_property_param(k: int, prop: Callable[[Graph], bool],
@@ -339,31 +337,27 @@ def indsub_property_param(k: int, prop: Callable[[Graph], bool],
             f"property parameters limited to k <= {PROPERTY_VERTEX_LIMIT},"
             f" got {k}"
         )
-    pairs, table, reps = _mask_class_table(k)
-    signed: dict[str, Fraction] = {}
+    table, reps = _mask_class_table(k)
+    # IndSub(F) = (1/|Aut(F)|) sum_{S >= F} (-1)^|S - F| Inj(S); scaled by
+    # k!, every weight is an int since |Aut(F)| divides k!
+    full = len(table) - 1
+    signed: dict[str, int] = {}
     for f, aut, fmask in reps.values():
         if not prop(f):
             continue
-        inv_aut = Fraction(1, aut)
-        free = [i for i in range(len(pairs)) if not fmask >> i & 1]
-        for s in range(1 << len(free)):
-            m = fmask
-            rest = s
-            while rest:
-                low = rest & -rest
-                m |= 1 << free[low.bit_length() - 1]
-                rest &= rest - 1
-            key = table[m]
-            delta = inv_aut if s.bit_count() % 2 == 0 else -inv_aut
-            signed[key] = signed.get(key, Fraction(0)) + delta
-    acc: dict[str, tuple[Graph, Fraction]] = {}
-    for key, mult in signed.items():
-        if mult == 0:
-            continue
-        for qkey, g, w in _quotient_sum(reps[key][0]):
-            _accumulate(acc, qkey, g, mult * w)
-    return _assemble(HOM_BASIS, GRAPH_LEVEL, acc,
-                     provenance=label or f"IndSub[k={k}]")
+        weight = _FACT[k] // aut
+        free = full ^ fmask
+        sub = free
+        while True:
+            key = table[fmask | sub]
+            signed[key] = (signed.get(key, 0)
+                           + (-weight if sub.bit_count() % 2 else weight))
+            if not sub:
+                break
+            sub = (sub - 1) & free
+    return _hom_sum(GRAPH_LEVEL,
+                    [(reps[key][0], c) for key, c in signed.items() if c],
+                    _FACT[k], label or f"IndSub[k={k}]")
 
 
 # built-in predicates for indsub_property_param

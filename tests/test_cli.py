@@ -143,6 +143,18 @@ def test_treewidth_limit_is_per_component(capsys, tmp_path):
     assert code == 0 and out == plain
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_pattern_limit_aborts_instead_of_failing_each_host(capsys, tmp_path,
+                                                           jobs):
+    # the treewidth limit depends on the pattern alone, not on any host
+    ds = write_dataset(tmp_path)
+    code, out, err = run(capsys, "count", "--dataset", str(ds), "--pattern",
+                         "P15", "--mode", "hom", "--jobs", jobs)
+    assert code == 3 and out == ""
+    assert err == ("error: exact treewidth limited to components of"
+                   " n <= 14, got 15\n")
+
+
 def test_enumerate_command(capsys):
     code, out, _ = run(capsys, "enumerate", "--max", "4")
     assert code == 0 and len(out.splitlines()) == 1 + 2 + 4 + 11

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -224,6 +226,43 @@ def test_indsub_property_param_isomorphic_to():
         indsub_property_param(0, always_true)
     with pytest.raises(LimitError):
         indsub_property_param(8, always_true)
+
+
+def test_indsub_property_param_is_sum_of_induced_expansions():
+    for prop in (always_true, is_connected, lambda g: g.m % 2 == 0):
+        terms = tuple(t for f in enumerate_graphs(5) if prop(f)
+                      for t in indsub_expansion(f).terms)
+        want = simplify(LinearCombination(HOM_BASIS, GRAPH_LEVEL, terms))
+        assert as_dict(indsub_property_param(5, prop)) == as_dict(want)
+
+
+# SHA-256 of the 632 expansions below, frozen before every expansion went
+# through one integer fold
+EXPANSION_DIGEST = (
+    "e1bc1671ef9aba5ed8978d432d294e4002543be23aaf8dd5455dcb6645c18612")
+
+
+def test_expansion_digest():
+    cs = []
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            cs += [spasm_of(g), inj_expansion(g), indsub_expansion(g)]
+            for a in range(n):
+                cs += [anchored_spasm_of(AnchoredGraph(g, a)),
+                       inj_expansion(AnchoredGraph(g, a))]
+    for k in range(1, 6):
+        cs += [indsub_property_param(k, always_true),
+               indsub_property_param(k, is_connected)]
+    c8 = named_pattern("C8")
+    cs += [spasm_of(c8), anchored_spasm_of(AnchoredGraph(c8, 0)),
+           indsub_expansion(named_pattern("C6")),
+           indsub_expansion(named_pattern("P6"))]
+    assert len(cs) == 632
+    h = hashlib.sha256()
+    for c in cs:
+        h.update(json.dumps(combination_to_json(c), sort_keys=True).encode())
+        h.update(c.provenance.encode() + b"\n")
+    assert h.hexdigest() == EXPANSION_DIGEST
 
 
 def test_simplify_merges_shared_classes():

@@ -16,7 +16,6 @@ from typing import Callable, Optional
 from .decomp import (
     decomposition_to_json_dict,
     elimination_order,
-    to_nice,
     treewidth_exact,
 )
 from .features import (
@@ -210,15 +209,12 @@ def cmd_treewidth(args) -> int:
     else:
         graph = pattern
     width, td = treewidth_exact(graph, anchor)
-    d = to_nice(td, anchor=anchor) if args.nice else td
     if args.json:
         doc = {"pattern": canonical_key(pattern), "width": width}
-        doc.update(decomposition_to_json_dict(d))
+        doc.update(decomposition_to_json_dict(td))
         print(json.dumps(doc))
     else:
         print(f"treewidth {width}")
-        if args.nice:
-            print(f"nice decomposition: {len(d)} nodes, width {d.width}")
     return 0
 
 
@@ -513,8 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("treewidth", help="exact treewidth of a pattern")
     p.add_argument("--pattern", required=True)
-    p.add_argument("--nice", action="store_true",
-                   help="build the nice decomposition")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_treewidth)
 

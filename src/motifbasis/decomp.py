@@ -17,15 +17,13 @@ its component is done.  Bags are listed in elimination order, so a bag
 is the scope of its bucket.  A decomposition is rooted where its
 elimination ends, at its last bag, so every tree edge forgets the child
 bag's own vertex.  An anchor is eliminated last, so the root bag is
-exactly {anchor}.  Nice decompositions (leaf / introduce / forget /
-join) are derived on top with the same root, as a view for
-`treewidth --nice`; the engine does not use them.
+exactly {anchor}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .graphs import (
     Graph,
@@ -43,7 +41,7 @@ class TreeDecomposition:
 
     `treewidth_exact` lists bags in elimination order (bag i holds the
     i-th eliminated vertex) and edges as (child, parent) with the parent
-    later, so the last bag is the root.  `to_nice` roots there.
+    later, so the last bag is the root.
     """
 
     bags: tuple[frozenset[int], ...]
@@ -52,32 +50,6 @@ class TreeDecomposition:
     @property
     def width(self) -> int:
         return max((len(b) for b in self.bags), default=0) - 1
-
-
-@dataclass(frozen=True)
-class NiceTreeDecomposition:
-    """Nice decomposition as flat arrays.
-
-    Children always have smaller indices than their parent, so iterating
-    nodes in index order is a valid bottom-up evaluation order.  `vertex`
-    holds the introduced / forgotten vertex, None for leaf and join.
-    """
-
-    kinds: tuple[str, ...]
-    bags: tuple[tuple[int, ...], ...]
-    children: tuple[tuple[int, ...], ...]
-    vertex: tuple[Optional[int], ...]
-    root: int
-
-    @property
-    def width(self) -> int:
-        return max((len(b) for b in self.bags), default=0) - 1
-
-    def __len__(self) -> int:
-        return len(self.kinds)
-
-
-Decomposition = Union[TreeDecomposition, NiceTreeDecomposition]
 
 
 def _reach_outside(adj_masks: list[int], allowed: int, v: int) -> int:
@@ -112,10 +84,17 @@ def _subset_dp(g: Graph, anchor: Optional[int]) -> tuple[int, list[int]]:
     f = [0] * (full + 1)
     f[0] = -1
     choice = [0] * (full + 1)
+    # the anchor is chosen only at the full set, so no other set that
+    # holds it is ever read: skip them
+    last = 0 if anchor is None else 1 << anchor
     for s in range(1, full + 1):
+        rest = s
+        if s & last:
+            if s != full:
+                continue
+            rest = last
         best = n  # any order stays below n
         pick = -1
-        rest = 1 << anchor if s == full and anchor is not None else s
         while rest:
             low = rest & -rest
             v = low.bit_length() - 1
@@ -225,9 +204,15 @@ def _tree_adjacency(num_bags: int, tree_edges) -> Optional[list[list[int]]]:
     return adj if count == num_bags else None
 
 
-def _check_coverage_and_connectivity(
-    bags: list[frozenset[int]], adj: list[list[int]], g: Graph
-) -> Optional[str]:
+def validate(td: TreeDecomposition, g: Graph) -> Optional[str]:
+    """None if td is a valid tree decomposition of g, else a short
+    violation."""
+    bags = td.bags
+    if not bags:
+        return "no bags"
+    adj = _tree_adjacency(len(bags), td.tree_edges)
+    if adj is None:
+        return "bag links do not form a tree"
     covered: set[int] = set()
     for b in bags:
         covered |= b
@@ -254,166 +239,11 @@ def _check_coverage_and_connectivity(
     return None
 
 
-def validate(d: Decomposition, g: Graph,
-             anchor: Optional[int] = None) -> Optional[str]:
-    """None if d is a valid decomposition of g, else a short violation.
-
-    For nice decompositions the node grammar is checked too, and the root
-    bag must be empty, or exactly {anchor} when an anchor is given.
-    """
-    if isinstance(d, TreeDecomposition):
-        if not d.bags:
-            return "no bags"
-        adj = _tree_adjacency(len(d.bags), d.tree_edges)
-        if adj is None:
-            return "bag links do not form a tree"
-        return _check_coverage_and_connectivity(list(d.bags), adj, g)
-
-    k = len(d.kinds)
-    if k == 0:
-        return "no nodes"
-    if not (0 <= d.root < k):
-        return "root index out of range"
-    parent_seen = [False] * k
-    for i in range(k):
-        kind = d.kinds[i]
-        bag = set(d.bags[i])
-        chs = d.children[i]
-        for c in chs:
-            if not (0 <= c < i):
-                return f"node {i} child {c} not below it"
-            if parent_seen[c]:
-                return f"node {c} has two parents"
-            parent_seen[c] = True
-        if kind == "leaf":
-            if chs or bag:
-                return f"node {i}: leaf must have no children and empty bag"
-        elif kind == "introduce":
-            if len(chs) != 1:
-                return f"node {i}: introduce needs one child"
-            v = d.vertex[i]
-            child_bag = set(d.bags[chs[0]])
-            if v is None or v in child_bag or bag != child_bag | {v}:
-                return f"node {i}: introduce bag mismatch"
-        elif kind == "forget":
-            if len(chs) != 1:
-                return f"node {i}: forget needs one child"
-            v = d.vertex[i]
-            child_bag = set(d.bags[chs[0]])
-            if v is None or v not in child_bag or bag != child_bag - {v}:
-                return f"node {i}: forget bag mismatch"
-        elif kind == "join":
-            if len(chs) != 2:
-                return f"node {i}: join needs two children"
-            if any(set(d.bags[c]) != bag for c in chs):
-                return f"node {i}: join children bags differ"
-        else:
-            return f"node {i}: unknown kind {kind!r}"
-    if any(not parent_seen[i] for i in range(k) if i != d.root):
-        return "disconnected node"
-    want_root = set() if anchor is None else {anchor}
-    if set(d.bags[d.root]) != want_root:
-        return f"root bag {sorted(d.bags[d.root])} != {sorted(want_root)}"
-    # reuse the tree checks on the underlying bag tree
-    edges = [(c, i) for i in range(k) for c in d.children[i]]
-    adj = _tree_adjacency(k, edges)
-    if adj is None:
-        return "nodes do not form a tree"
-    return _check_coverage_and_connectivity(
-        [frozenset(b) for b in d.bags], adj, g
-    )
-
-
-# === nice decompositions ===
-
-
-def to_nice(td: TreeDecomposition,
-            anchor: Optional[int] = None) -> NiceTreeDecomposition:
-    """Turn a tree decomposition into a nice one.
-
-    Rooted at the last bag, where `treewidth_exact`'s elimination ends;
-    there every tree edge forgets the child bag's own vertex.  The
-    anchor, when given, must be in the last bag: it is then never
-    forgotten and the root bag ends up {anchor}, or empty for the plain
-    graph-level form.  Width never increases.
-    """
-    adj = _tree_adjacency(len(td.bags), td.tree_edges)
-    if adj is None:
-        raise ValueError("invalid input decomposition: not a tree")
-    root_bag = len(td.bags) - 1
-    if anchor is not None and anchor not in td.bags[root_bag]:
-        raise ValueError(f"anchor {anchor} not in the last bag; build the"
-                         " decomposition with treewidth_exact(g, anchor)")
-
-    kinds: list[str] = []
-    bags: list[tuple[int, ...]] = []
-    children: list[tuple[int, ...]] = []
-    vertex: list[Optional[int]] = []
-
-    def add(kind: str, bag, chs=(), v: Optional[int] = None) -> int:
-        kinds.append(kind)
-        bags.append(tuple(sorted(bag)))
-        children.append(tuple(chs))
-        vertex.append(v)
-        return len(kinds) - 1
-
-    def introduce_chain(idx: int, have: set[int], target: frozenset[int]) -> int:
-        for v in sorted(target - have):
-            have.add(v)
-            idx = add("introduce", have, (idx,), v)
-        return idx
-
-    def forget_chain(idx: int, have: set[int], target: set[int]) -> int:
-        for v in sorted(have - target):
-            have.discard(v)
-            idx = add("forget", have, (idx,), v)
-        return idx
-
-    def build(b: int, parent: int) -> int:
-        tops = []
-        for c in adj[b]:
-            if c == parent:
-                continue
-            t = build(c, b)
-            have = set(td.bags[c])
-            t = forget_chain(t, have, set(td.bags[b]))
-            t = introduce_chain(t, have, td.bags[b])
-            tops.append(t)
-        if not tops:
-            return introduce_chain(add("leaf", ()), set(), td.bags[b])
-        cur = tops[0]
-        for t in tops[1:]:
-            cur = add("join", td.bags[b], (cur, t))
-        return cur
-
-    top = build(root_bag, -1)
-    target = set() if anchor is None else {anchor}
-    top = forget_chain(top, set(td.bags[root_bag]), target)
-    return NiceTreeDecomposition(
-        tuple(kinds), tuple(bags), tuple(children), tuple(vertex), top
-    )
-
-
-def decomposition_to_json_dict(d: Decomposition) -> dict:
+def decomposition_to_json_dict(td: TreeDecomposition) -> dict:
     """Plain-JSON debug dump; lists sorted, fully deterministic."""
-    if isinstance(d, TreeDecomposition):
-        return {
-            "kind": "tree",
-            "width": d.width,
-            "bags": [sorted(b) for b in d.bags],
-            "edges": [list(e) for e in d.tree_edges],
-        }
     return {
-        "kind": "nice",
-        "width": d.width,
-        "root": d.root,
-        "nodes": [
-            {
-                "kind": d.kinds[i],
-                "bag": list(d.bags[i]),
-                "children": list(d.children[i]),
-                "vertex": d.vertex[i],
-            }
-            for i in range(len(d))
-        ],
+        "kind": "tree",
+        "width": td.width,
+        "bags": [sorted(b) for b in td.bags],
+        "edges": [list(e) for e in td.tree_edges],
     }

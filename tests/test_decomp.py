@@ -1,15 +1,17 @@
+import contextlib
+import hashlib
+import io
 import itertools
 import random
 
 import pytest
 
+from motifbasis.cli import main
 from motifbasis.decomp import (
-    NiceTreeDecomposition,
     TreeDecomposition,
     TREEWIDTH_LIMIT,
     decomposition_to_json_dict,
     elimination_order,
-    to_nice,
     treewidth_exact,
     validate,
 )
@@ -18,6 +20,7 @@ from motifbasis.graphs import (
     LimitError,
     disjoint_union,
     enumerate_graphs,
+    format_graph6,
     named_pattern,
 )
 
@@ -106,33 +109,6 @@ def test_decompositions_validate():
         width, td = treewidth_exact(g)
         assert validate(td, g) is None
         assert td.width == width
-        nice = to_nice(td)
-        assert validate(nice, g) is None
-        assert nice.width <= td.width
-
-
-def test_nice_decomposition_grammar():
-    g = named_pattern("C6")
-    _, td = treewidth_exact(g)
-    nice = to_nice(td)
-    assert isinstance(nice, NiceTreeDecomposition)
-    assert nice.bags[nice.root] == ()
-    for i, kind in enumerate(nice.kinds):
-        assert kind in ("leaf", "introduce", "forget", "join")
-        for child in nice.children[i]:
-            assert child < i  # children precede parents, plan order
-
-
-def test_nice_decomposition_anchored_root():
-    rng = random.Random(33)
-    for _ in range(15):
-        g = random_graph(rng, rng.randint(2, 7))
-        anchor = rng.randrange(g.n)
-        width, td = treewidth_exact(g, anchor)
-        nice = to_nice(td, anchor=anchor)
-        assert validate(nice, g, anchor=anchor) is None
-        assert nice.bags[nice.root] == (anchor,)
-        assert nice.width <= max(width, 0)
 
 
 def test_anchor_is_eliminated_last_at_unchanged_width():
@@ -143,7 +119,9 @@ def test_anchor_is_eliminated_last_at_unchanged_width():
                 got, td = treewidth_exact(g, a)
                 assert got == td.width == width
                 assert td.bags[-1] == frozenset({a})
-                assert validate(to_nice(td, a), g, anchor=a) is None
+                assert validate(td, g) is None
+    with pytest.raises(ValueError, match="out of range"):
+        treewidth_exact(named_pattern("P4"), 4)
 
 
 def test_every_tree_edge_forgets_the_child_vertex():
@@ -157,15 +135,6 @@ def test_every_tree_edge_forgets_the_child_vertex():
             assert c < p
             assert td.bags[c] - td.bags[p]
         assert {c for c, _ in td.tree_edges} == set(range(len(td.bags) - 1))
-
-
-def test_to_nice_needs_the_anchor_in_the_last_bag():
-    g = named_pattern("P4")
-    _, td = treewidth_exact(g, 3)
-    with pytest.raises(ValueError, match=r"treewidth_exact\(g, anchor\)"):
-        to_nice(td, anchor=0)
-    with pytest.raises(ValueError, match="out of range"):
-        treewidth_exact(g, 4)
 
 
 def test_validate_reports_broken_decompositions():
@@ -198,7 +167,40 @@ def test_json_shapes():
     doc = decomposition_to_json_dict(td)
     assert doc["kind"] == "tree" and doc["width"] == 1
     assert doc["bags"][-1] == [2]
-    nice = to_nice(td, anchor=2)
-    doc = decomposition_to_json_dict(nice)
-    assert doc["kind"] == "nice" and doc["width"] >= 1
-    assert len(doc["nodes"]) == len(nice)
+
+
+# Frozen from an earlier engine: the elimination orders are what the
+# counting plans compile, and `treewidth --json` is user-visible output,
+# so a change to the subset DP or the bag replay must move neither.
+ORDER_DIGEST = (
+    "d2b4bbed94913dc65614774025d38f8a1e6a417c010ccd36e5091a250c555775")
+TREEWIDTH_JSON_DIGESTS = {
+    "C8": "faadf6e573ca8da17d785ffd792ad70adbfaf681a4e7155645f071eae88df011",
+    "K5": "2e172441248f2b733d03a27b10f0a3da336cbec091c73d946656bf116d6bdbf3",
+    "C4@2": "89051b960005af9cb7bb32cde73ad1fe96146a438791c6af91a1e704818f6a4d",
+    "P6": "a72c2ed395b1af84cbff3a7d570eb1f252fb4624b4d2fb258262baeefe0e9edc",
+    "P4@2": "8632977cc9d43576966b7e947c935e70366822e800404d745691b18df408a17a",
+    "C7@3": "b42f55f8b852dfe1c17f0f87e3e59a6ecbf0fd660554824e8e30aa1692ce01ab",
+    "S5": "daa5a8ecaab2720fbd02f6ed6baeb12e6c0c00baab093e171b8451dd5ccff257",
+    # five disjoint triangles
+    "NwCW?CB???_B????_?W":
+        "f7807809b0a25c1f22bf77a281bde01f988973034dc35c9f84a0565ae230dde1",
+}
+
+
+def test_elimination_order_digest():
+    lines = []
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            for anchor in (None, *range(n)):
+                width, order = elimination_order(g, anchor)
+                lines.append(repr(
+                    (format_graph6(g), anchor, width, tuple(order))))
+    assert len(lines) == 1375
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ORDER_DIGEST
+    for pattern, want in TREEWIDTH_JSON_DIGESTS.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["treewidth", "--pattern", pattern, "--json"]) == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == want

@@ -1,10 +1,14 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import motifbasis
 from motifbasis import cli
 from motifbasis.cli import (
     UsageError,
@@ -306,6 +310,29 @@ def test_count_out_file_and_jsonl(capsys, tmp_path):
     rows = [json.loads(line) for line in out.splitlines()]
     k3 = next(k for k in rows[0] if k.startswith("param:"))
     assert [r[k3] for r in rows] == [1, 0, 0]
+
+
+def test_count_imports_only_the_stdlib(tmp_path):
+    # a fresh interpreter, since the benchmark's checks import numpy into
+    # a pytest process: numpy alone adds ~12 MB of RSS, past the 5% bound
+    # on peak_rss_mb
+    ds = write_dataset(tmp_path)
+    script = (
+        "import json, sys\n"
+        "from motifbasis.cli import main\n"
+        "codes = [main(['count', '--dataset', sys.argv[1], '--mode', 'sub',\n"
+        "               '--out', sys.argv[2], '--pattern', *p])\n"
+        "         for p in (['C5,P4'], ['C4@0', '--level', 'node'])]\n"
+        "heavy = [m for m in ('numpy', 'scipy', 'networkx')\n"
+        "         if m in sys.modules]\n"
+        "print(json.dumps([codes, heavy]))\n")
+    env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
+    env["PYTHONPATH"] = str(Path(motifbasis.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(ds), str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], []]
 
 
 def test_count_jobs_identical(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -222,6 +223,33 @@ def test_pull_kernel_guard_on_a_star():
     assert time.perf_counter() - start < 5
 
 
+def test_dense_kernel_guard_on_a_long_path():
+    # on a 200,000-vertex path, 50 rows of the walk step (a, x) -> (w, a)
+    # with w ~ x would hold a list of n per row, 80 MB, and 50 entries
+    # summed onto their neighbours one list of n, 1.6 MB: both kernels
+    # sum into a dict
+    n = 200_000
+    host = HostGraph(n, [(v, v + 1) for v in range(n - 1)])
+    rows = range(0, 100, 2)
+    cases = [
+        (("intro", 0, (1,), (0, 1)), {(a, a + 1): a + 1 for a in rows},
+         {(w, a): a + 1 for a in rows for w in (a, a + 2)}),
+        (("intro", 1, (0,), (1,)), {(a,): a + 1 for a in rows},
+         {(w,): sum(a + 1 for a in (w - 1, w + 1) if a in rows)
+          for w in range(-1, 100, 2) if w >= 0}),
+    ]
+    for op, table, expect in cases:
+        kernel = _kernel(op, len(next(iter(table))))
+        tracemalloc.start()
+        try:
+            out = kernel(table, host)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == expect, op
+        assert peak < 1 << 20, op
+
+
 def test_compile_interns_only_reachable_nodes():
     # a bucket's top op is interned only once no later bucket can still
     # fuse a forget into it
@@ -272,12 +300,26 @@ def test_no_introduce_without_a_neighbour_above_a_table():
 
 def _signature_classes(op, arity, tables, host):
     if op[0] == "join":
-        return {("join", op[1] is not None, op[2] is not None)}
-    _, ins, nbrs, keep = op
-    kept = "all" if keep is None else "new" if ins in keep else "not new"
-    out = {("intro", min(len(nbrs), 3), kept)}
-    if arity == 2 and nbrs == (0, 1) and keep in ((ins,), ()):
-        out.add(("pull", host._sq < 3 * len(tables[0])))  # branch taken
+        _, sub, keep = op
+        out = {("join", sub is not None, keep is not None)}
+        summing = keep is not None
+        # an equal-slot join iterates the smaller table
+        iterated = min(map(len, tables)) if sub is None else len(tables[0])
+    else:
+        _, ins, nbrs, keep = op
+        kept = "all" if keep is None else "new" if ins in keep else "not new"
+        out = {("intro", min(len(nbrs), 3), kept)}
+        if arity == 2 and nbrs == (0, 1) and keep in ((ins,), ()):
+            pull = host._sq < 3 * len(tables[0])
+            out.add(("pull", pull))  # branch taken
+            if pull:
+                return out
+        summing = keep is not None and (ins in keep or len(keep) < arity)
+        iterated = len(tables[0])
+    if summing and len(keep) <= 2:  # branch taken
+        cells = host.n ** len(keep)
+        out.add(("dense", len(keep),
+                 cells <= homcount.DENSE_CELLS_PER_ENTRY * iterated))
     return out
 
 
@@ -321,12 +363,14 @@ def test_kernels_match_oracle(monkeypatch):
     assert [_run_plan(plan, HostGraph.from_graph(h)).get((w,), 0)
             for w in range(5)] == brute_hom_node(AnchoredGraph(Graph(2), 1), h)
     # equal-slot and subset joins, with and without keep; 0, 1, 2 and 3+
-    # bag neighbours, with and without keep; both branches of the pull
+    # bag neighbours, with and without keep; both branches of the pull;
+    # summing kernels keeping 0, 1 and 2 slots, dense and dict
     assert runs == {("join", sub, keep) for sub in (False, True)
                     for keep in (False, True)} | {
         ("intro", k, kept) for k in (0, 1, 2, 3)
         for kept in ("all", "new", "not new")} | {
-        ("pull", True), ("pull", False)}
+        ("pull", True), ("pull", False)} | {
+        ("dense", k, taken) for k in (0, 1, 2) for taken in (True, False)}
     assert max(arities) == 5  # K6: 5-slot children, 6-slot keys
 
 

@@ -27,15 +27,11 @@ candidate expression and builds each output key as a tuple literal.
 An introduce that collapses a 2-slot table onto the new vertex's image
 can also pull, summing the table over pairs of each host vertex's
 neighbours, when the host's sum of squared degrees is small against the
-table.  A kernel that sums into its keys and keeps at most 2 slots sums
-into Python ints indexed by host vertex instead of a dict, when they
-hold at most 8 cells per entry of the table it iterates.  The guard is
-needed: unguarded, the sparse-large terms (C5 and P5 in sub mode) on a
-random host with 3,000 vertices and 6,000 edges took 1.4 s and 131 MB
-of peak RSS, against 0.18 s and 57 MB with dicts alone and 0.2 s and
-57 MB guarded.  Running a plan costs O(n^(width+1)) table entries in
-the worst case, so plans are cached per pattern and guarded by an
-explicit width check before large hosts.
+table.  Some kernels that sum into their keys use Python ints indexed
+by host vertex instead of a dict; `_kernel` says which and when.
+Running a plan costs O(n^(width+1)) table entries in the worst case, so
+plans are cached per pattern and guarded by an explicit width check
+before large hosts.
 
 Spasm terms are quotients of one pattern, so their plans share pieces.
 Nodes are hash-consed: equal sub-plans are one node, which fully
@@ -83,9 +79,9 @@ from .spasm import (
 WIDTH_GUARD_WIDTH = 5
 WIDTH_GUARD_HOST_VERTICES = 100_000
 
-# a summing kernel sums into dense per-vertex storage only when that has
-# at most this many cells per entry of the table it iterates
-DENSE_CELLS_PER_ENTRY = 8
+# a summing introduce adds into per-vertex lists only when they have at
+# most this many cells per entry of the table it iterates
+DENSE_CELLS_PER_ENTRY = 4
 
 _EMPTY_SET: frozenset[int] = frozenset()
 
@@ -362,13 +358,13 @@ def _tuple(names: Iterable[str]) -> str:
 
 def _dense(kept: list[str], loop: list[str], value: str) -> list[str]:
     """Source of a summing kernel's dense body: `loop`, the kernel's
-    clauses, summing `value` into Python-int storage indexed by host
-    vertex, for the names of at most 2 kept slots.  No kept slot sums
-    into one scalar, one into a list of n, two into one list of n per
-    value of the row slot, made on first use.  The index slot is the new
-    vertex w when it is kept, so the row lookup sits outside the loop
-    over candidates; else it is the last kept slot.  Only non-zero cells
-    are emitted, found by C-level scans, under keys in sorted slot order.
+    clauses, summing `value` into Python ints for the names of its 0, 1
+    or 2 kept slots.  No kept slot sums into one scalar, one into a list
+    of n, and two into one list of n per value of the row slot, made on
+    first use, indexed by the other: the new vertex w when it is kept,
+    so the row lookup sits outside the loop over candidates, else the
+    last kept slot.  Only non-zero cells are emitted, found by C-level
+    scans, under keys in sorted slot order.
     """
     ind = "    " * len(loop)
     if not kept:
@@ -409,15 +405,22 @@ def _kernel(op: tuple, arity: int):
     loop's one intersection per entry, so it runs only when the host's
     sum(deg^2) is below 3 entries per table entry.
 
-    A summing kernel that keeps at most 2 slots has a dense body too
-    (`_dense`): it sums into Python ints indexed by host vertex, a
-    scalar, a list of n, or a list of n per row, and emits the non-zero
-    cells.  It runs only when its cells (1, n or n*n) are at most
-    DENSE_CELLS_PER_ENTRY times the entries of the table it iterates;
-    otherwise the same kernel sums into a dict.  Unguarded, the
-    sparse-large terms on a random host with n = 3,000 and m = 6,000
-    took 1.4 s and 131 MB of peak RSS, against 0.18 s and 57 MB for the
-    dict body alone and 0.2 s and 57 MB guarded.
+    Two kinds of summing kernel use `_dense`.  One that keeps no slot
+    sums into one scalar.  An introduce that keeps 1 or 2 slots first
+    tries a list of n, or one per row, indexed by host vertex, and emits
+    the non-zero cells; it does so only when its cells (n or n*n) are at
+    most DENSE_CELLS_PER_ENTRY times the entries of t0, and otherwise
+    sums into a dict.  The guard is needed: on a uniform random host
+    with n = 3,000 and m = 6,000, one count of the sparse-large terms
+    (C5 and P5, sub) took 1.75 s unguarded, 0.27 s with dicts alone and
+    0.26 s guarded, with peak RSS 137, 63 and 63 MB (medians of 5 fresh
+    processes on a 2-vCPU VM).  The bound is 4 because replaying every
+    kernel run of a pass gave the same, fastest, time for 3, 4 and 5: at
+    6 and above the 100-entry edge tables of 23-vertex hosts (5.3 cells
+    per entry) go dense and run slower than a dict, and at 2 the
+    17,626-entry walk of sparse-large (3.5 cells per entry) stays a
+    dict.  A summing join that keeps a slot uses a dict only:
+    sparse-large runs none.
     """
     kind, *fields = op
     # an introduce leads with `ins`; both kinds end in two slot tuples
@@ -470,19 +473,20 @@ def _kernel(op: tuple, arity: int):
             heads, value = [head, f"if (m := {size})"], "cnt * m"
         distinct = keep is None or (ins not in keep and len(keep) == arity)
     key = whole if keep is None else _tuple(slots[s] for s in keep)
+    # one indented block per comprehension clause
+    loop = ["    " * i + f"{h}:" for i, h in enumerate(heads)]
+    kept = [] if keep is None else [slots[s] for s in keep]
     if distinct:
         body = [f"return {{{key}: {value} {' '.join(heads)}}}"]
-    else:  # one indented block per comprehension clause
+    elif not kept:  # one scalar: the dense body alone
+        body = _dense(kept, loop, value)
+    else:
         ind = "    " * len(heads)
-        loop = ["    " * i + f"{h}:" for i, h in enumerate(heads)]
         body = (["out = {}", "get = out.get"] + loop
                 + [f"{ind}nk = {key}", f"{ind}out[nk] = get(nk, 0) + {value}",
                    "return out"])
-        kept = [slots[s] for s in keep]
-        if len(kept) <= 2:  # the dense body, guarded, runs first
-            if kind == "join":
-                pre.append("n = host.n")
-            cells = " * ".join(["n"] * len(kept)) or "1"
+        if kind == "intro" and len(kept) <= 2:  # the dense body first
+            cells = " * ".join(["n"] * len(kept))
             body = [f"if {cells} <= {DENSE_CELLS_PER_ENTRY} * len(t0):"] + [
                 "    " + line for line in _dense(kept, loop, value)] + body
     src = "\n    ".join([f"def kernel({args}):"] + pre + body)

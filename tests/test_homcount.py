@@ -2,6 +2,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 
@@ -303,8 +304,6 @@ def _signature_classes(op, arity, tables, host):
         _, sub, keep = op
         out = {("join", sub is not None, keep is not None)}
         summing = keep is not None
-        # an equal-slot join iterates the smaller table
-        iterated = min(map(len, tables)) if sub is None else len(tables[0])
     else:
         _, ins, nbrs, keep = op
         kept = "all" if keep is None else "new" if ins in keep else "not new"
@@ -315,11 +314,12 @@ def _signature_classes(op, arity, tables, host):
             if pull:
                 return out
         summing = keep is not None and (ins in keep or len(keep) < arity)
-        iterated = len(tables[0])
-    if summing and len(keep) <= 2:  # branch taken
-        cells = host.n ** len(keep)
-        out.add(("dense", len(keep),
-                 cells <= homcount.DENSE_CELLS_PER_ENTRY * iterated))
+        if summing and 0 < len(keep) <= 2:  # branch taken
+            cells = host.n ** len(keep)
+            out.add(("dense", len(keep), cells
+                     <= homcount.DENSE_CELLS_PER_ENTRY * len(tables[0])))
+    if summing and not keep:
+        out.add(("scalar",))
     return out
 
 
@@ -332,11 +332,22 @@ def test_kernels_match_oracle(monkeypatch):
 
     def recording(op, arity):
         kernel = compiled(op, arity)
+        env = kernel.__globals__
 
         def run(*args):
-            runs.update(_signature_classes(op, arity, args[:-1], args[-1]))
+            classes = _signature_classes(op, arity, args[:-1], args[-1])
+            emitted = []  # the dense bodies emit their lists via compress
+            env["compress"] = lambda *a: emitted.append(a) or compress(*a)
+            try:
+                out = kernel(*args)
+            finally:
+                env["compress"] = compress
+            if emitted:
+                assert ("dense", len(op[-1]), True) in classes, op
+                classes.add(("dense ran", len(op[-1])))
+            runs.update(classes)
             arities.add(arity)
-            return kernel(*args)
+            return out
         return run
 
     monkeypatch.setattr(homcount, "_kernel", recording)
@@ -364,13 +375,15 @@ def test_kernels_match_oracle(monkeypatch):
             for w in range(5)] == brute_hom_node(AnchoredGraph(Graph(2), 1), h)
     # equal-slot and subset joins, with and without keep; 0, 1, 2 and 3+
     # bag neighbours, with and without keep; both branches of the pull;
-    # summing kernels keeping 0, 1 and 2 slots, dense and dict
+    # the scalar sum; both branches of the dense 1- and 2-slot introduces,
+    # the dense body seen to run
     assert runs == {("join", sub, keep) for sub in (False, True)
                     for keep in (False, True)} | {
         ("intro", k, kept) for k in (0, 1, 2, 3)
         for kept in ("all", "new", "not new")} | {
         ("pull", True), ("pull", False)} | {
-        ("dense", k, taken) for k in (0, 1, 2) for taken in (True, False)}
+        ("scalar",), ("dense ran", 1), ("dense ran", 2)} | {
+        ("dense", k, taken) for k in (1, 2) for taken in (True, False)}
     assert max(arities) == 5  # K6: 5-slot children, 6-slot keys
 
 

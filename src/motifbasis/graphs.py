@@ -19,12 +19,10 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
-# Hard ceilings for the exponential-cost entry points.  Partition
-# enumeration is Bell(n); graph enumeration by iso class is kept to sizes
-# where the incremental extension strategy stays in memory.
-PARTITION_LIMIT = 12
+# Hard ceiling for graph enumeration by iso class: sizes where the
+# incremental extension strategy stays in memory.
 ENUMERATION_LIMIT = 7
 
 
@@ -156,110 +154,6 @@ class AnchoredGraph:
 PatternLike = Union[Graph, AnchoredGraph]
 
 
-# === vertex partitions ===
-
-
-class Partition:
-    """Partition of 0..n-1 into disjoint nonempty blocks.
-
-    Stored in restricted-growth normal form: blocks are numbered by first
-    appearance, so equal partitions compare equal regardless of how the
-    blocks were handed in.
-    """
-
-    __slots__ = ("n", "blocks", "block_of")
-
-    def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
-        seen: dict[int, int] = {}
-        raw = [tuple(sorted(set(b))) for b in blocks]
-        raw = [b for b in raw if b]
-        raw.sort(key=lambda b: b[0])  # first-appearance order
-        for i, b in enumerate(raw):
-            for v in b:
-                if v in seen:
-                    raise ValueError(f"vertex {v} appears in two blocks")
-                seen[v] = i
-        if len(seen) != n or (seen and (min(seen) < 0 or max(seen) >= n)):
-            raise ValueError("blocks must cover 0..n-1 exactly")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", tuple(raw))
-        object.__setattr__(self, "block_of", tuple(seen[v] for v in range(n)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __eq__(self, other):
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self.n == other.n and self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash((self.n, self.blocks))
-
-    def __repr__(self):
-        inner = "/".join("".join(map(str, b)) for b in self.blocks)
-        return f"Partition({inner})"
-
-
-def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """All partitions of 0..n-1 in restricted-growth lexicographic order.
-
-    Yields exactly Bell(n) partitions.  Refuses n beyond PARTITION_LIMIT;
-    Bell(12) is 4213597 and already minutes of downstream work, Bell(13) is
-    not a realistic sit-and-wait computation for callers of this library.
-    """
-    if n < 1:
-        raise ValueError("partition enumeration needs n >= 1")
-    if n > PARTITION_LIMIT:
-        raise LimitError(f"partition enumeration limited to n <= {PARTITION_LIMIT},"
-                         f" got {n}")
-    code = [0] * n
-
-    def rec(i: int, num_blocks: int) -> Iterator[Partition]:
-        if i == n:
-            blocks: list[list[int]] = [[] for _ in range(num_blocks)]
-            for v, b in enumerate(code):
-                blocks[b].append(v)
-            yield Partition(n, blocks)
-            return
-        for b in range(num_blocks + 1):
-            code[i] = b
-            yield from rec(i + 1, max(num_blocks, b + 1))
-
-    yield from rec(1, 1)
-
-
-def quotient(g: Graph, p: Partition) -> tuple[Graph, bool]:
-    """Merge each block to a single vertex.
-
-    Returns (quotient graph, had_loop).  had_loop is True when some block
-    contains two adjacent vertices of g; the returned graph simply omits
-    that loop, so callers that only want loop-free quotients must check the
-    flag.  Parallel edges collapse silently.
-    """
-    if p.n != g.n:
-        raise ValueError("partition size does not match graph")
-    bo = p.block_of
-    had_loop = False
-    qedges = set()
-    for u, v in g.edges:
-        a, b = bo[u], bo[v]
-        if a == b:
-            had_loop = True
-        else:
-            qedges.add((a, b) if a < b else (b, a))
-    return Graph(len(p), qedges), had_loop
-
-
-def quotient_anchored(ag: AnchoredGraph, p: Partition) -> tuple[AnchoredGraph, bool]:
-    """Quotient where the block containing the anchor becomes the new anchor."""
-    q, had_loop = quotient(ag.graph, p)
-    return AnchoredGraph(q, p.block_of[ag.anchor]), had_loop
-
-
 # === color refinement and canonical forms ===
 
 
@@ -295,8 +189,9 @@ def _find_color_automorphism(
     """Is there a color-preserving automorphism mapping src to dst?
 
     Plain backtracking over color classes.  The coloring is already
-    equitable when we get here, which cuts the candidate lists hard; sizes
-    are <= PARTITION_LIMIT vertices so the worst case stays tame.
+    equitable when we get here, which cuts the candidate lists hard; the
+    graphs are motif patterns and their quotients (a basis walks at most
+    `spasm.PARTITION_LIMIT` vertices), so the worst case stays tame.
     """
     if colors[src] != colors[dst]:
         return False

@@ -8,6 +8,9 @@ a quotient class sums the Moebius weight prod_B (-1)^(|B|-1) (|B|-1)! over
 all partitions producing it, divided by |Aut(P)|.  Anchored (per-vertex)
 variants use anchor-preserving quotients and anchor-fixing automorphisms.
 
+The partitions are walked once, vertex by vertex (`_quotient_sum`): a
+vertex never joins a block holding one of its neighbours, so a loop
+prunes its whole subtree, and the Moebius weight is carried down the walk.
 Everything here is a pure transformation, and every expansion is one
 integer fold (`_hom_sum`): integer multiplier times Moebius weight, summed
 per quotient class, then one Fraction per term.  The quotient sums and the
@@ -36,11 +39,8 @@ from .graphs import (
     canonical_form,
     canonical_form_anchored,
     canonical_key,
-    enumerate_partitions,
     format_graph6,
     parse_graph6,
-    quotient,
-    quotient_anchored,
 )
 
 HOM_BASIS = "Hom"
@@ -57,6 +57,8 @@ INDSUB_VERTEX_LIMIT = 10
 # 2^k supergraph subsets; past this the expansion stops being interactive
 INDSUB_NONEDGE_LIMIT = 16
 PROPERTY_VERTEX_LIMIT = 7
+# Bell(12) is 4,213,597 partitions before pruning; Bell(13) is 27,644,437
+PARTITION_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -141,17 +143,6 @@ def _identity(g: PatternLike) -> tuple[PatternLike, str, int]:
 
 # === subgraph-count expansions ===
 
-_FACT = [factorial(i) for i in range(16)]
-
-
-def _mobius_weight(p) -> int:
-    w = 1
-    for b in p.blocks:
-        s = len(b)
-        w *= -_FACT[s - 1] if (s - 1) % 2 else _FACT[s - 1]
-    return w
-
-
 def _check_pattern(pattern: PatternLike) -> None:
     if pattern.n < 1:
         raise ValueError("pattern needs at least one vertex")
@@ -164,17 +155,49 @@ def _quotient_sum(
     """Inj(pattern, .) over Hom counts, for a canonical pattern: one
     (key, canonical quotient, summed Moebius weight) triple per isomorphism
     class of loop-free quotients, anchor-preserving for an AnchoredGraph.
-    Classes whose weights cancel are left out."""
+    Classes whose weights cancel are left out.
+
+    One walk over restricted-growth codes: vertex v joins an earlier block
+    or opens a new one, and never joins a block holding an earlier
+    neighbour, so only loop-free partitions reach a leaf.  Joining a block
+    of s vertices multiplies the weight by -s, which over a block of size
+    S gives (-1)^(S-1) (S-1)!.
+    """
     anchored = isinstance(pattern, AnchoredGraph)
+    g = pattern.graph if anchored else pattern
+    n = g.n
+    if n > PARTITION_LIMIT:
+        raise LimitError(f"partition enumeration limited to n <= {PARTITION_LIMIT},"
+                         f" got {n}")
+    earlier = [[u for u in g.neighbors(v) if u < v] for v in range(n)]
+    block_of = [0] * n
+    sizes: list[int] = []
     acc: dict[str, tuple[PatternLike, int]] = {}
-    for p in enumerate_partitions(pattern.n):
-        if anchored:
-            q, had_loop = quotient_anchored(pattern, p)
-        else:
-            q, had_loop = quotient(pattern, p)
-        if not had_loop:
-            _accumulate(acc, canonical_key(q), _canonical(q), _mobius_weight(p))
-    return tuple((key, g, w) for key, (g, w) in acc.items() if w)
+
+    def walk(v: int, w: int) -> None:
+        if v == n:
+            q: PatternLike = Graph(len(sizes), {
+                (a, b) if a < b else (b, a)
+                for a, b in ((block_of[x], block_of[y]) for x, y in g.edges)
+            })
+            if anchored:
+                q = AnchoredGraph(q, block_of[pattern.anchor])
+            _accumulate(acc, canonical_key(q), _canonical(q), w)
+            return
+        taken = {block_of[u] for u in earlier[v]}
+        for b in range(len(sizes)):
+            if b not in taken:
+                block_of[v] = b
+                sizes[b] += 1
+                walk(v + 1, -(sizes[b] - 1) * w)
+                sizes[b] -= 1
+        block_of[v] = len(sizes)
+        sizes.append(1)
+        walk(v + 1, w)
+        sizes.pop()
+
+    walk(0, 1)
+    return tuple((key, q, w) for key, (q, w) in acc.items() if w)
 
 
 def _hom_sum(level: str, pairs: Iterable[tuple[PatternLike, int]],
@@ -257,12 +280,11 @@ def indsub_expansion(pattern: Graph) -> LinearCombination:
             f"induced expansion limited to {INDSUB_VERTEX_LIMIT} vertices,"
             f" got {pattern.n}"
         )
-    non_edges = [e for e in combinations(range(pattern.n), 2)
-                 if not pattern.has_edge(*e)]
-    if len(non_edges) > INDSUB_NONEDGE_LIMIT:
+    non_edges = pattern.n * (pattern.n - 1) // 2 - pattern.m
+    if non_edges > INDSUB_NONEDGE_LIMIT:
         raise LimitError(
             f"induced expansion limited to {INDSUB_NONEDGE_LIMIT} non-edges,"
-            f" got {len(non_edges)}"
+            f" got {non_edges}"
         )
     return _indsub_cached(*_identity(pattern))
 
@@ -345,7 +367,7 @@ def indsub_property_param(k: int, prop: Callable[[Graph], bool],
     for f, aut, fmask in reps.values():
         if not prop(f):
             continue
-        weight = _FACT[k] // aut
+        weight = factorial(k) // aut
         free = full ^ fmask
         sub = free
         while True:
@@ -357,7 +379,7 @@ def indsub_property_param(k: int, prop: Callable[[Graph], bool],
             sub = (sub - 1) & free
     return _hom_sum(GRAPH_LEVEL,
                     [(reps[key][0], c) for key, c in signed.items() if c],
-                    _FACT[k], label or f"IndSub[k={k}]")
+                    factorial(k), label or f"IndSub[k={k}]")
 
 
 # built-in predicates for indsub_property_param
@@ -425,15 +447,29 @@ def combination_from_json(doc: dict) -> LinearCombination:
         raw_terms = doc["terms"]
     except (TypeError, KeyError) as e:
         raise ValueError(f"combination document missing field: {e}") from None
+    if not isinstance(raw_terms, list):
+        raise ValueError(f"combination field 'terms' is not a list: {raw_terms!r}")
     acc: dict[str, tuple[PatternLike, Fraction]] = {}
-    for entry in raw_terms:
-        g: PatternLike = parse_graph6(entry["graph6"])
+    for i, entry in enumerate(raw_terms):
+        if not isinstance(entry, dict):
+            raise ValueError(f"term {i} is not an object: {entry!r}")
+        g: PatternLike = _term_field(entry, i, "graph6", parse_graph6)
         if level == NODE_LEVEL:
-            if "anchor" not in entry:
-                raise ValueError("node-level term without anchor")
-            g = AnchoredGraph(g, int(entry["anchor"]))
-        num, den = int(entry["num"]), int(entry["den"])
+            g = AnchoredGraph(g, _term_field(entry, i, "anchor", int))
+        num = _term_field(entry, i, "num", int)
+        den = _term_field(entry, i, "den", int)
         if den == 0:
-            raise ValueError("coefficient with zero denominator")
+            raise ValueError(f"term {i} field 'den' is zero")
         _accumulate(acc, canonical_key(g), g, Fraction(num, den))
     return _assemble(kind, level, acc, provenance="")
+
+
+def _term_field(entry: dict, i: int, name: str, parse: Callable):
+    """parse(entry[name]); a missing or unparsable field is a ValueError
+    that names it."""
+    if name not in entry:
+        raise ValueError(f"term {i} missing field {name!r}")
+    try:
+        return parse(entry[name])
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ValueError(f"term {i} field {name!r}: {e}") from None

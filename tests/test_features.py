@@ -12,6 +12,7 @@ from motifbasis.features import (
     DatasetError,
     EncodingSpec,
     FeatureMatrix,
+    _payload_digest,
     auto_anchor,
     basis_cache_get,
     basis_cache_put,
@@ -412,6 +413,13 @@ def test_cache_rejects_corruption(tmp_path):
     doc["key"] = "Bw"
     f.write_text(json.dumps(doc))
     assert basis_cache_get(tmp_path, "spasm", "Cs") is None
+    # malformed terms under a matching digest are a miss too
+    for terms in ([{}], [1], None):
+        doc = json.loads(good)
+        doc["combination"]["terms"] = terms
+        doc["sha256"] = _payload_digest(doc["combination"], doc["provenance"])
+        f.write_text(json.dumps(doc))
+        assert basis_cache_get(tmp_path, "spasm", "Cs") is None
     f.write_text(good)
     assert basis_cache_get(tmp_path, "spasm", "Cs") == c
 

@@ -9,7 +9,6 @@ from motifbasis.graphs import (
     ENUMERATION_LIMIT,
     Graph,
     LimitError,
-    Partition,
     anchored_automorphism_count,
     automorphism_count,
     canonical_form,
@@ -21,15 +20,12 @@ from motifbasis.graphs import (
     disjoint_union,
     enumerate_connected_graphs,
     enumerate_graphs,
-    enumerate_partitions,
     format_graph6,
     induced_subgraph,
     is_connected,
     is_isomorphic,
     named_pattern,
     parse_graph6,
-    quotient,
-    quotient_anchored,
 )
 from motifbasis.oracle import perm_automorphism_count, perm_isomorphic
 
@@ -80,49 +76,6 @@ def test_anchored_graph():
     assert a.n == 4 and a.m == 4 and a.anchor == 2
     with pytest.raises(ValueError):
         AnchoredGraph(g, 4)
-
-
-def test_partition_normal_form():
-    p = Partition(4, [[3, 1], [0], [2]])
-    assert p.blocks == ((0,), (1, 3), (2,))
-    assert p.block_of == (0, 1, 2, 1)
-    with pytest.raises(ValueError):
-        Partition(3, [[0, 1]])  # vertex 2 missing
-    with pytest.raises(ValueError):
-        Partition(3, [[0, 1], [1, 2]])  # overlap
-
-
-def test_enumerate_partitions_bell_counts():
-    bell = [1, 1, 2, 5, 15, 52, 203]
-    for n in range(1, 7):
-        parts = list(enumerate_partitions(n))
-        assert len(parts) == bell[n]
-        assert len(set(parts)) == bell[n]
-    with pytest.raises(LimitError):
-        list(enumerate_partitions(13))
-    with pytest.raises(ValueError):
-        list(enumerate_partitions(0))
-
-
-def test_quotient_cycle():
-    c4 = named_pattern("C4")
-    # bipartition collapses the 4-cycle to a single edge
-    q, had_loop = quotient(c4, Partition(4, [[0, 2], [1, 3]]))
-    assert not had_loop and q.n == 2 and q.m == 1
-    # merging adjacent vertices makes a loop
-    q, had_loop = quotient(c4, Partition(4, [[0, 1], [2], [3]]))
-    assert had_loop
-    # merging one antipodal pair gives the 3-vertex path
-    q, had_loop = quotient(c4, Partition(4, [[0, 2], [1], [3]]))
-    assert not had_loop and q.n == 3 and q.m == 2
-
-
-def test_quotient_anchored_tracks_anchor_block():
-    c4 = named_pattern("C4")
-    a = AnchoredGraph(c4, 2)
-    q, had_loop = quotient_anchored(a, Partition(4, [[0, 2], [1], [3]]))
-    assert not had_loop
-    assert q.graph.degree(q.anchor) == 2  # anchor landed in the merged block
 
 
 def test_canonical_form_invariance():

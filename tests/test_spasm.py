@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -111,6 +113,34 @@ def test_anchored_c4_has_both_path_anchorings():
     assert d[canonical_key(AnchoredGraph(named_pattern("K2"), 0))] == Fraction(1, 2)
 
 
+def test_inj_of_edgeless_graph_is_stirling_first_kind():
+    # Inj(E_n, H) = |V|(|V|-1)...(|V|-n+1) = sum_k s(n, k) Hom(E_k, H): no
+    # edge prunes the partition walk, so every partition must arrive once
+    # with its Moebius weight
+    s = {(0, 0): 1}
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            s[n, k] = s.get((n - 1, k - 1), 0) - (n - 1) * s.get((n - 1, k), 0)
+        d = as_dict(inj_expansion(Graph(n)))
+        assert d == {canonical_key(Graph(k)): Fraction(s[n, k])
+                     for k in range(1, n + 1)}
+
+
+def test_complete_graph_basis_is_one_term():
+    # every pair of K12's vertices is adjacent, so the walk reaches only
+    # the partition into singletons
+    k12 = named_pattern("K12")
+    start = time.perf_counter()
+    plain = spasm_of(k12)
+    anchored = anchored_spasm_of(AnchoredGraph(k12, 0))
+    assert time.perf_counter() - start < 5
+    assert [t.coefficient for t in plain.terms] == \
+        [Fraction(1, math.factorial(12))]
+    assert [t.coefficient for t in anchored.terms] == \
+        [Fraction(1, math.factorial(11))]
+    assert canonical_key(plain.terms[0].graph) == canonical_key(k12)
+
+
 def test_anchored_self_coefficient():
     rng = random.Random(42)
     for _ in range(8):
@@ -207,8 +237,6 @@ def test_indsub_property_param_counts_connected_triples():
 
 
 def test_indsub_property_param_always_true_counts_subsets():
-    import math
-
     c = indsub_property_param(3, always_true)
     rng = random.Random(48)
     for _ in range(5):
@@ -351,6 +379,9 @@ def test_combination_from_json_rejects_malformed():
     bad = dict(good, terms=[dict(good["terms"][0], graph6="!!")])
     with pytest.raises(ValueError):
         combination_from_json(bad)
+    for terms, field in (([{}], "graph6"), ([1], "term 0"), (None, "terms")):
+        with pytest.raises(ValueError, match=field):
+            combination_from_json(dict(good, terms=terms))
 
 
 def test_combination_validation():

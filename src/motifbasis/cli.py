@@ -380,18 +380,33 @@ def _route_indsub_graph(pattern: Graph, anchor: int, host: Graph):
     return value, Fraction(brute_indsub(pattern, host))
 
 
-def _route_batch_node(pattern: Graph, anchor: int, host: Graph):
-    # a second anchored pattern, drawn from the sample itself, so that
-    # sub-plans shared across the two parameters' terms are checked too
+def _second_pattern(pattern: Graph, anchor: int,
+                    host: Graph) -> AnchoredGraph:
+    """A second connected pattern, no larger, and an anchor in it, drawn
+    from the sample itself."""
     rng = random.Random(
         f"{format_graph6(pattern)}@{anchor} {format_graph6(host)}")
     other = rng.choice(enumerate_connected_graphs(2, pattern.n))
+    return AnchoredGraph(other, rng.randrange(other.n))
+
+
+def _route_batch_node(pattern: Graph, anchor: int, host: Graph):
+    # two parameters in one row, so that sub-plan tables shared across
+    # the two anchored bases' terms are checked too
     aps = [AnchoredGraph(pattern, anchor),
-           AnchoredGraph(other, rng.randrange(other.n))]
+           _second_pattern(pattern, anchor, host)]
     got = next(batch_evaluate([anchored_spasm_of(a) for a in aps],
                               [HostGraph.from_graph(host)]))
     return got, [tuple(Fraction(x) for x in brute_sub_node(a, host))
                  for a in aps]
+
+
+def _route_batch_graph(pattern: Graph, anchor: int, host: Graph):
+    # the same at graph level, over the two plain bases
+    ps = [pattern, _second_pattern(pattern, anchor, host).graph]
+    got = next(batch_evaluate([spasm_of(p) for p in ps],
+                              [HostGraph.from_graph(host)]))
+    return got, [Fraction(brute_sub(p, host)) for p in ps]
 
 
 def _route_union(pattern: Graph, anchor: int, host: Graph):
@@ -417,6 +432,7 @@ CHECK_ROUTES: dict[str, Callable] = {
     "sub-node": _route_sub_node,
     "indsub-graph": _route_indsub_graph,
     "batch-node": _route_batch_node,
+    "batch-graph": _route_batch_graph,
     "union": _route_union,
 }
 

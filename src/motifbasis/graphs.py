@@ -315,17 +315,42 @@ def _canon(
         init = [1] * n
         init[anchor] = 0
     order, aut = _canonical_order(g._adj, init)
-    perm = [0] * n  # perm[old] = new
-    for pos, v in enumerate(order):
-        perm[v] = pos
-    canon_edges = tuple(sorted(
-        (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
-        for u, v in edges
-    ))
+    perm, canon_edges = _relabelled(order, edges)
     key = format_graph6(Graph(n, canon_edges))
     if anchor is not None:
         key = f"{key}@{perm[anchor]}"
-    return canon_edges, tuple(perm), key, aut
+    return canon_edges, perm, key, aut
+
+
+def _relabelled(order: tuple[int, ...], edges: Iterable[tuple[int, int]]
+                ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """(perm, sorted distinct edges of the image) for the labelling that
+    puts order[i] at position i; perm[old] = new."""
+    perm = [0] * len(order)
+    for pos, v in enumerate(order):
+        perm[v] = pos
+    return tuple(perm), tuple(sorted({
+        (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
+        for u, v in edges
+    }))
+
+
+def slot_canonical_edges(n: int, edges: Iterable[tuple[int, int]],
+                         slots: int) -> tuple[tuple[int, int], ...]:
+    """Canonical edges of a graph on 0..n-1 whose first `slots` vertices
+    are labelled: vertex i < slots is coloured i and keeps its label, the
+    others share the last colour and are relabelled canonically after
+    them.  Repeated edges, in either orientation, count once.  Two such
+    graphs get equal edges iff an isomorphism fixes every labelled vertex.
+    """
+    edges = tuple(edges)
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    order, _ = _canonical_order(tuple(map(frozenset, adj)),
+                                [min(v, slots) for v in range(n)])
+    return _relabelled(order, edges)[1]
 
 
 def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:

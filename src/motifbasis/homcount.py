@@ -34,15 +34,23 @@ plans are cached per pattern and guarded by an explicit width check
 before large hosts.
 
 Spasm terms are quotients of one pattern, so their plans share pieces.
-Nodes are hash-consed: equal sub-plans are one node, which fully
-determines its table on a host.  `term_counts_for_host` counts a row's
-terms in order with one sub-plan store per host, and the executor asks
-the store for a node before it recurses into the node's children, so
-the largest stored sub-plan is always the one used.  A node's take
-count, the number of times the row asks for it, is read off the DAG
-once per row of roots: once per root occurrence, plus once per
-reference from each distinct parent.  A table asked for more than once
-is kept after it is computed and dropped at its last take.
+Nodes are hash-consed: equal (op, children) are one node.  A node's
+table is fixed by its meaning, the partial pattern it counts with the
+key's slots labelled in key order and the summed-out vertices labelled
+canonically, so nodes reached through other labels or another introduce
+order hold equal tables when their meanings are equal.  Once per row of
+roots, the row analysis maps each node to a representative, the first
+node with its meaning in post-order over the roots in row order, and
+reads off how often the row asks for each representative's table: once
+per root occurrence, plus once per child reference of each
+representative it computes.  Meanings are built there, not at plan
+compile, and the choice depends on the row alone.
+`term_counts_for_host` counts a row's terms in order with one sub-plan
+store per host, and the executor asks the store for a node's
+representative before it recurses into the representative's children,
+so the largest stored sub-plan is always the one used.  A table asked
+for more than once is kept after it is computed and dropped at its last
+take.
 
 Everything is arbitrary-precision integer arithmetic; floats never appear.
 """
@@ -64,6 +72,7 @@ from .graphs import (
     LimitError,
     PatternLike,
     canonical_key,
+    slot_canonical_edges,
     validated_edges,
 )
 from .spasm import (
@@ -176,10 +185,11 @@ class _Node:
     Nodes are hash-consed by `_node`: equal (op, children) give the same
     object, so equal sub-plans are one node, which fully determines its
     table on a given host.  Nodes hash and compare by identity.  `size`
-    is the length of the keys of the node's table.
+    is the length of the keys of the node's table; `meaning`, filled in
+    by `_meaning` when a row is analysed, the partial pattern it counts.
     """
 
-    __slots__ = ("op", "kids", "size")
+    __slots__ = ("op", "kids", "size", "meaning")
 
     def __init__(self, op: tuple, kids: tuple["_Node", ...]):
         self.op = op
@@ -187,6 +197,7 @@ class _Node:
         keep = op[-1] if kids else ()
         self.size = (len(keep) if keep is not None
                      else kids[0].size + (op[0] == "intro"))
+        self.meaning: Optional[tuple] = None
 
 
 @lru_cache(maxsize=None)
@@ -314,38 +325,105 @@ def _term_plan(t: PatternLike) -> tuple[_Node, int]:
 # === the sub-plan store ===
 
 
-@lru_cache(maxsize=64)
-def _requests(roots: tuple[_Node, ...]) -> Counter:
-    """Node -> how often running `roots` in order asks for its table.
-
-    Each root occurrence asks once.  Every reachable node is computed
-    once, on its first request, and then asks once for each reference
-    to a child, so each distinct parent adds its references.
+def _meaning(node: _Node) -> tuple:
+    """(size, n, edges): the partial pattern whose homomorphism counts the
+    node's table holds, on vertices 0..n-1 with the key's slots first, in
+    key order, and the summed-out vertices after them, canonically
+    labelled (`graphs.slot_canonical_edges`).  Nodes with equal meanings
+    hold equal tables on every host.  Built from the children's meanings:
+    an introduce adds a vertex at slot `ins` with edges to its `nbrs`, a
+    join glues the second child's slots onto the first's at `sub`, and
+    `keep` picks the slots that stay.  Memoised on the node.
     """
-    need = Counter(roots)
-    todo, seen = list(need), set(need)
-    while todo:
-        for kid in todo.pop().kids:
-            need[kid] += 1
-            if kid not in seen:
-                seen.add(kid)
-                todo.append(kid)
-    return need
+    if node.meaning is not None:
+        return node.meaning
+    op, kids = node.op, node.kids
+    if not kids:
+        node.meaning = (0, 0, ())
+        return node.meaning
+    full, n, edges = _meaning(kids[0])
+    if op[0] == "intro":
+        _, ins, nbrs, keep = op
+        at = [x + (x >= ins) for x in range(n)]
+        edges = [(at[u], at[v]) for u, v in edges]
+        edges += [(at[s], ins) for s in nbrs]
+        full, n = full + 1, n + 1
+    else:
+        _, sub, keep = op
+        size1, n1, edges1 = _meaning(kids[1])
+        at = [*(range(size1) if sub is None else sub),
+              *range(n, n + n1 - size1)]
+        edges = [*edges, *((at[u], at[v]) for u, v in edges1)]
+        n += n1 - size1
+    size = full
+    if keep is not None:
+        # kept slots first, in keep order; dropped slots join the rest
+        order = [*keep, *(s for s in range(full) if s not in keep),
+                 *range(full, n)]
+        at = [0] * n
+        for pos, x in enumerate(order):
+            at[x] = pos
+        edges = [(at[u], at[v]) for u, v in edges]
+        size = len(keep)
+    node.meaning = (size, n, slot_canonical_edges(n, edges, size))
+    return node.meaning
+
+
+@lru_cache(maxsize=64)
+def _requests(roots: tuple[_Node, ...]
+              ) -> tuple[dict[_Node, _Node], Counter]:
+    """The row analysis of `roots`: each reachable node's representative,
+    and how often running `roots` in order asks for each
+    representative's table.
+
+    The representative of a node is the first node with its meaning in
+    post-order over the roots in row order, so the choice depends on the
+    row alone.  Each root occurrence asks once for its representative.
+    Every representative asked for is computed once, on its first
+    request, and then asks once for the representative of each of its
+    children.
+    """
+    reps: dict[_Node, _Node] = {}
+    first: dict[tuple, _Node] = {}
+
+    def visit(node: _Node) -> None:
+        if node not in reps:
+            reps[node] = node  # marks it seen; the DAG has no cycles
+            for kid in node.kids:
+                visit(kid)
+            reps[node] = first.setdefault(_meaning(node), node)
+
+    need: Counter = Counter()
+
+    def ask(node: _Node) -> None:
+        rep = reps[node]
+        need[rep] += 1
+        if need[rep] == 1:
+            for kid in rep.kids:
+                ask(kid)
+
+    for root in roots:
+        visit(root)
+    for root in roots:
+        ask(root)
+    return reps, need
 
 
 class _SubplanStore:
     """Sub-plan tables of one host, for one row's roots.
 
-    A table asked for more than once is kept after it is computed, with
-    the number of requests still to come, and dropped at the last one,
-    so a row that runs all its roots in order leaves the store empty.
+    A node's table is looked up, computed and kept under its
+    representative.  A table asked for more than once is kept after it
+    is computed, with the number of requests still to come, and dropped
+    at the last one, so a row that runs all its roots in order leaves
+    the store empty.
     """
 
-    __slots__ = ("takes", "live")
+    __slots__ = ("reps", "takes", "live")
 
     def __init__(self, roots: Iterable[_Node]):
-        self.takes = _requests(tuple(roots))
-        self.live: dict[_Node, list] = {}  # node -> [table, takes left]
+        self.reps, self.takes = _requests(tuple(roots))
+        self.live: dict[_Node, list] = {}  # rep -> [table, takes left]
 
 
 # === plan execution ===
@@ -500,12 +578,14 @@ def _run_plan(node: _Node, host: HostGraph,
     """Evaluate a sub-plan on a host; returns its table (assignment tuple
     -> count).
 
-    The store is asked for the node first and its children only when it
-    is not there, so the largest stored sub-plan is always the one used.
-    Without a store, one is made for this node alone.
+    The node stands for its representative in the store.  The store is
+    asked for it first and its children only when it is not there, so
+    the largest stored sub-plan is always the one used.  Without a
+    store, one is made for this node alone.
     """
     if store is None:
         store = _SubplanStore((node,))
+    node = store.reps[node]
     live = store.live
     entry = live.get(node)
     if entry is not None:

@@ -172,7 +172,7 @@ def _quotient_sum(
     earlier = [[u for u in g.neighbors(v) if u < v] for v in range(n)]
     block_of = [0] * n
     sizes: list[int] = []
-    acc: dict[str, tuple[PatternLike, int]] = {}
+    acc: dict[str, list] = {}  # key -> [canonical quotient, weight]
 
     def walk(v: int, w: int) -> None:
         if v == n:
@@ -182,7 +182,12 @@ def _quotient_sum(
             })
             if anchored:
                 q = AnchoredGraph(q, block_of[pattern.anchor])
-            _accumulate(acc, canonical_key(q), _canonical(q), w)
+            key = canonical_key(q)
+            seen = acc.get(key)
+            if seen is None:  # the canonical copy, once per class
+                acc[key] = [_canonical(q), w]
+            else:
+                seen[1] += w
             return
         taken = {block_of[u] for u in earlier[v]}
         for b in range(len(sizes)):

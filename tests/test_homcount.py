@@ -29,6 +29,7 @@ from motifbasis.homcount import (
     _plan,
     _requests,
     _run_plan,
+    _SubplanStore,
     _term_plan,
     batch_evaluate,
     batch_term_counts,
@@ -188,10 +189,9 @@ def test_plan_quality_on_anchored_c8_basis():
     assert len(nodes) < ops
 
 
-def test_kernel_entries_on_anchored_c8_basis(monkeypatch):
-    # the DP's work as an exact count: entries of every kernel's output
-    # table over one pass of the anchored C8 basis on G(23, 50) hosts
-    # (243,807 when join children were padded to the full bag)
+def _c8_entries(monkeypatch):
+    """Entries of every kernel's output table over one pass of the
+    anchored C8 basis on ten seeded G(23, 50) hosts."""
     entries = []
     compiled = homcount._kernel
 
@@ -210,7 +210,36 @@ def test_kernel_entries_on_anchored_c8_basis(monkeypatch):
     for seed in range(10):
         host = HostGraph(23, random.Random(seed).sample(pairs, 50))
         term_counts_for_host(terms, host)
-    assert sum(entries) == 180_515
+    monkeypatch.undo()
+    return sum(entries)
+
+
+def test_kernel_entries_on_anchored_c8_basis(monkeypatch):
+    # the DP's work as an exact count (243,807 when join children were
+    # padded to the full bag, 180,515 when only op-equal sub-plans shared
+    # a table)
+    assert _c8_entries(monkeypatch) == 156_167
+
+
+def test_sharing_does_not_depend_on_what_else_was_compiled(monkeypatch):
+    # plans compiled along random orders, and rows of them counted, intern
+    # nodes and fill in meanings; the C8@0 row still picks its
+    # representatives from its own roots alone
+    _node.cache_clear()
+    _plan.cache_clear()
+    _requests.cache_clear()
+    rng = random.Random(56)
+    host = random_host(rng, 6)
+    for t in anchored_spasm_of(named_pattern("C8@0")).terms:
+        g, a = t.graph.graph, t.graph.anchor
+        roots = []
+        for _ in range(3):
+            order = rng.sample([v for v in range(g.n) if v != a], g.n - 1)
+            roots.append(_compile_buckets(g, order + [a], True))
+        for root in roots:
+            _run_plan(root, host)
+        _SubplanStore(roots)
+    assert _c8_entries(monkeypatch) == 156_167
 
 
 def test_pull_kernel_guard_on_a_star():
@@ -253,13 +282,41 @@ def test_dense_kernel_guard_on_a_long_path():
 
 def test_compile_interns_only_reachable_nodes():
     # a bucket's top op is interned only once no later bucket can still
-    # fuse a forget into it
+    # fuse a forget into it; the row computes one node per meaning
     _node.cache_clear()
     _plan.cache_clear()
     _requests.cache_clear()
     terms = [t.graph for t in anchored_spasm_of(named_pattern("C8@0")).terms]
     roots = tuple(_term_plan(t)[0] for t in terms)
-    assert _node.cache_info().currsize == len(_requests(roots)) == 184
+    reps, takes = _requests(roots)
+    assert _node.cache_info().currsize == len(reps) == 184
+    assert len(takes) == len(set(reps.values())) == 152
+
+
+def test_merged_nodes_hold_their_representatives_tables():
+    # rows of plain and anchored terms, the quotients of connected
+    # patterns on <= 6 vertices: every node's table equals its
+    # representative's, and every count the oracle's
+    rng = random.Random(57)
+    patterns = enumerate_connected_graphs(1, 6)
+    merged = 0
+    for _ in range(60):
+        p, q = rng.sample(patterns, 2)
+        aq = AnchoredGraph(q, rng.randrange(q.n))
+        terms = ([t.graph for t in spasm_of(p).terms]
+                 + [t.graph for t in anchored_spasm_of(aq).terms])
+        reps, _ = _requests(tuple(_term_plan(t)[0] for t in terms))
+        merged += sum(node is not rep for node, rep in reps.items())
+        h = random_graph(rng, rng.randint(1, 6))
+        host = HostGraph.from_graph(h)
+        for node, rep in reps.items():
+            assert _run_plan(node, host) == _run_plan(rep, host), node.op
+        for t, got in zip(terms, term_counts_for_host(terms, host)):
+            if isinstance(t, AnchoredGraph):
+                assert list(got) == brute_hom_node(t, h)
+            else:
+                assert got == brute_hom(t, h)
+    assert merged > 200
 
 
 def _forgets(node):

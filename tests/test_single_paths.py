@@ -195,7 +195,8 @@ def test_shared_rows_match_single_terms_and_oracle(seed, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_each_subplan_computed_once_per_row(seed, monkeypatch):
-    # a table asked for twice or more is kept, never computed again
+    # a table asked for twice or more is kept, never computed again: one
+    # kernel run per meaning the row asks for, at most one per node
     calls = []
     compiled = homcount._kernel
 
@@ -209,14 +210,19 @@ def test_each_subplan_computed_once_per_row(seed, monkeypatch):
 
     monkeypatch.setattr(homcount, "_kernel", counting)
     for terms, hosts in term_lists(200 + seed, 8):
-        todo = [homcount._term_plan(t)[0] for t in terms]
+        roots = [homcount._term_plan(t)[0] for t in terms]
+        todo = list(roots)
         nodes = set()
         while todo:
             node = todo.pop()
             if node not in nodes:
                 nodes.add(node)
                 todo.extend(node.kids)
-        computed = sum(bool(node.kids) for node in nodes)  # leaves: no kernel
+        takes = homcount._requests(tuple(roots))[1]
+        computed = sum(bool(rep.kids) for rep in takes)  # leaves: no kernel
+        assert computed == len({homcount._meaning(rep)
+                                for rep in takes if rep.kids})
+        assert computed <= sum(bool(node.kids) for node in nodes)
         for h in hosts:
             calls.clear()
             term_counts_for_host(terms, HostGraph.from_graph(h))

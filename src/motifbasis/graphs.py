@@ -342,15 +342,26 @@ def slot_canonical_edges(n: int, edges: Iterable[tuple[int, int]],
     others share the last colour and are relabelled canonically after
     them.  Repeated edges, in either orientation, count once.  Two such
     graphs get equal edges iff an isomorphism fixes every labelled vertex.
+
+    Each connected component is canonicalised alone, with the labelled
+    vertices it holds; the unlabelled vertices of components that hold a
+    label come first, by smallest label, then the components that hold
+    none, sorted by their canonical edges.  One search over the whole
+    graph would branch on every permutation of isomorphic components.
     """
-    edges = tuple(edges)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    order, _ = _canonical_order(tuple(map(frozenset, adj)),
-                                [min(v, slots) for v in range(n)])
-    return _relabelled(order, edges)[1]
+    g = Graph(n, {(u, v) if u < v else (v, u) for u, v in edges})
+    rest, free = [], []
+    for comp in component_vertex_sets(g):
+        sub = g if len(comp) == n else induced_subgraph(g, comp)
+        order, _ = _canonical_order(sub._adj, [min(v, slots) for v in comp])
+        if comp[0] < slots:
+            rest += (comp[i] for i in order if comp[i] >= slots)
+        else:
+            code = _relabelled(order, sub.edges)[1]
+            free.append((sub.n, code, [comp[i] for i in order]))
+    free.sort(key=lambda f: f[:2])
+    rest += (v for *_, order in free for v in order)
+    return _relabelled([*range(slots), *rest], g.edges)[1]
 
 
 def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:

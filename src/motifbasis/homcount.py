@@ -2,7 +2,7 @@
 
 A pattern is compiled once, whole, by bucket elimination along the
 optimal elimination order `decomp.elimination_order` finds, into one
-plan: a DAG of ops, each turning the tables of its child nodes
+plan: a tree of ops, each turning the tables of its child nodes
 (assignment tuple -> count) into its own.  The bucket of a vertex v
 multiplies the messages that hold v, the tables of earlier buckets,
 then sums v out, and its table goes to the bucket of its first
@@ -34,17 +34,18 @@ plans are cached per pattern and guarded by an explicit width check
 before large hosts.
 
 Spasm terms are quotients of one pattern, so their plans share pieces.
-Nodes are hash-consed: equal (op, children) are one node.  A node's
-table is fixed by its meaning, the partial pattern it counts with the
-key's slots labelled in key order and the summed-out vertices labelled
-canonically, so nodes reached through other labels or another introduce
-order hold equal tables when their meanings are equal.  Once per row of
-roots, the row analysis maps each node to a representative, the first
-node with its meaning in post-order over the roots in row order, and
-reads off how often the row asks for each representative's table: once
-per root occurrence, plus once per child reference of each
-representative it computes.  Meanings are built there, not at plan
-compile, and the choice depends on the row alone.
+Each node records what its table counts: the pattern vertex at each key
+slot and, for an introduce, the vertex it adds and its neighbours.  A
+node's table is fixed by its meaning, the partial pattern its sub-plan
+adds, with the key's slots labelled in key order and the summed-out
+vertices labelled canonically, so nodes reached through other labels or
+another introduce order hold equal tables when their meanings are
+equal.  Once per row of roots, the row analysis maps each node to a
+representative, the first node with its meaning in post-order over the
+roots in row order, and reads off how often the row asks for each
+representative's table: once per root occurrence, plus once per child
+reference of each representative it computes.  Meanings are built
+there, not at plan compile, and the choice depends on the row alone.
 `term_counts_for_host` counts a row's terms in order with one sub-plan
 store per host, and the executor asks the store for a node's
 representative before it recurses into the representative's children,
@@ -180,47 +181,37 @@ class CountVector:
 
 
 class _Node:
-    """One op of a plan over the tables of its child nodes.
-
-    Nodes are hash-consed by `_node`: equal (op, children) give the same
-    object, so equal sub-plans are one node, which fully determines its
-    table on a given host.  Nodes hash and compare by identity.  `size`
-    is the length of the keys of the node's table; `meaning`, filled in
-    by `_meaning` when a row is analysed, the partial pattern it counts.
+    """One op of a plan over the tables of its child nodes, with what its
+    table counts in pattern labels: `slots`, the pattern vertex at each
+    key slot, and `adds`, for an introduce its new pattern vertex
+    followed by the pattern vertices it is joined to (empty otherwise).
+    `size` is the length of the keys of the node's table.  Nodes hash
+    and compare by identity.
     """
 
-    __slots__ = ("op", "kids", "size", "meaning")
+    __slots__ = ("op", "kids", "slots", "adds", "size")
 
-    def __init__(self, op: tuple, kids: tuple["_Node", ...]):
-        self.op = op
-        self.kids = kids
-        keep = op[-1] if kids else ()
-        self.size = (len(keep) if keep is not None
-                     else kids[0].size + (op[0] == "intro"))
-        self.meaning: Optional[tuple] = None
-
-
-@lru_cache(maxsize=None)
-def _node(op: tuple, kids: tuple[_Node, ...]) -> _Node:
-    """The one node for (op, kids); the cache is the intern table."""
-    return _Node(op, kids)
+    def __init__(self, op: tuple, kids: tuple["_Node", ...],
+                 slots: tuple[int, ...], adds: tuple[int, ...]):
+        self.op, self.kids, self.slots, self.adds = op, kids, slots, adds
+        self.size = len(slots)
 
 
 class _Pending:
-    """A bucket's top op before it is interned: the op without its keep,
-    its (interned) child nodes, the slots of its full key, the keep and
-    the pattern vertex of each kept slot.  A later bucket may still
-    forget more slots in it."""
+    """A bucket's top op before it is sealed into a node: the op without
+    its keep, its child nodes, the slots of its full key, the keep, the
+    pattern vertex of each kept slot and the op's `adds`.  A later bucket
+    may still forget more slots in it."""
 
-    __slots__ = ("op", "kids", "full", "keep", "slots")
+    __slots__ = ("op", "kids", "full", "keep", "slots", "adds")
 
     def __init__(self, op: tuple, kids: tuple[_Node, ...],
-                 full: tuple[int, ...]):
-        self.op, self.kids, self.full = op, kids, full
+                 full: tuple[int, ...], adds: tuple[int, ...] = ()):
+        self.op, self.kids, self.full, self.adds = op, kids, full, adds
         self.keep, self.slots = None, full
 
     def seal(self) -> _Node:
-        return _node(self.op + (self.keep,), self.kids)
+        return _Node(self.op + (self.keep,), self.kids, self.slots, self.adds)
 
     def forget(self, v: int) -> None:
         kept = range(len(self.full)) if self.keep is None else self.keep
@@ -244,7 +235,8 @@ def _reaches(pattern: Graph, have: Iterable[int], bag: set[int]) -> bool:
 def _compile_buckets(pattern: Graph, order: Sequence[int],
                      anchored: bool) -> _Node:
     """Compile a pattern by bucket elimination along `order`, a
-    permutation of its vertices; returns the root of its sub-plan DAG.
+    permutation of its vertices; returns the root of its plan, a tree of
+    fresh nodes.
 
     Tables map assignment tuples, in sorted slot order, to counts.  The
     bucket of v holds the messages (the tables of earlier buckets) whose
@@ -267,7 +259,7 @@ def _compile_buckets(pattern: Graph, order: Sequence[int],
     is its image.  The empty pattern's plan is the leaf.
     """
     if not order:
-        return _node(("leaf",), ())
+        return _Node(("leaf",), (), (), ())
     last = order[-1]
     pos = {v: i for i, v in enumerate(order)}
     inbox: dict[int, list[_Pending]] = {v: [] for v in order}
@@ -280,7 +272,8 @@ def _compile_buckets(pattern: Graph, order: Sequence[int],
                                            -len(m.slots)))
             msgs.remove(cur)
         else:
-            cur = _Pending(("intro", 0, ()), (_node(("leaf",), ()),), (v,))
+            cur = _Pending(("intro", 0, ()), (_Node(("leaf",), (), (), ()),),
+                           (v,), (v,))
         while msgs or len(cur.slots) < len(bag):
             have = cur.slots
             m = next((m for m in msgs if set(have).issuperset(m.slots)), None)
@@ -297,7 +290,8 @@ def _compile_buckets(pattern: Graph, order: Sequence[int],
             full = tuple(sorted(have + (u,)))
             nbrs = tuple(s for s, x in enumerate(have)
                          if x in pattern.neighbors(u))
-            cur = _Pending(("intro", full.index(u), nbrs), (cur.seal(),), full)
+            cur = _Pending(("intro", full.index(u), nbrs), (cur.seal(),), full,
+                           (u, *(have[s] for s in nbrs)))
         if anchored and v == last:
             break
         cur.forget(v)
@@ -330,43 +324,21 @@ def _meaning(node: _Node) -> tuple:
     node's table holds, on vertices 0..n-1 with the key's slots first, in
     key order, and the summed-out vertices after them, canonically
     labelled (`graphs.slot_canonical_edges`).  Nodes with equal meanings
-    hold equal tables on every host.  Built from the children's meanings:
-    an introduce adds a vertex at slot `ins` with edges to its `nbrs`, a
-    join glues the second child's slots onto the first's at `sub`, and
-    `keep` picks the slots that stay.  Memoised on the node.
+    hold equal tables on every host.  The pattern is what the introduces
+    of the node's sub-plan add, in pattern labels.
     """
-    if node.meaning is not None:
-        return node.meaning
-    op, kids = node.op, node.kids
-    if not kids:
-        node.meaning = (0, 0, ())
-        return node.meaning
-    full, n, edges = _meaning(kids[0])
-    if op[0] == "intro":
-        _, ins, nbrs, keep = op
-        at = [x + (x >= ins) for x in range(n)]
-        edges = [(at[u], at[v]) for u, v in edges]
-        edges += [(at[s], ins) for s in nbrs]
-        full, n = full + 1, n + 1
-    else:
-        _, sub, keep = op
-        size1, n1, edges1 = _meaning(kids[1])
-        at = [*(range(size1) if sub is None else sub),
-              *range(n, n + n1 - size1)]
-        edges = [*edges, *((at[u], at[v]) for u, v in edges1)]
-        n += n1 - size1
-    size = full
-    if keep is not None:
-        # kept slots first, in keep order; dropped slots join the rest
-        order = [*keep, *(s for s in range(full) if s not in keep),
-                 *range(full, n)]
-        at = [0] * n
-        for pos, x in enumerate(order):
-            at[x] = pos
-        edges = [(at[u], at[v]) for u, v in edges]
-        size = len(keep)
-    node.meaning = (size, n, slot_canonical_edges(n, edges, size))
-    return node.meaning
+    verts, edges, todo = set(), set(), [node]
+    while todo:
+        x = todo.pop()
+        todo.extend(x.kids)
+        if x.adds:
+            u, *nbrs = x.adds
+            verts.add(u)
+            edges.update((u, w) for w in nbrs)
+    at = {v: i for i, v in enumerate(
+        [*node.slots, *verts.difference(node.slots)])}
+    return (node.size, len(at), slot_canonical_edges(
+        len(at), [(at[u], at[w]) for u, w in edges], node.size))
 
 
 @lru_cache(maxsize=64)
@@ -388,7 +360,7 @@ def _requests(roots: tuple[_Node, ...]
 
     def visit(node: _Node) -> None:
         if node not in reps:
-            reps[node] = node  # marks it seen; the DAG has no cycles
+            reps[node] = node  # marks it seen; plans have no cycles
             for kid in node.kids:
                 visit(kid)
             reps[node] = first.setdefault(_meaning(node), node)
@@ -712,24 +684,16 @@ def _combine(counts: Sequence, refs: Sequence[Sequence[tuple[int, Fraction]]],
     return out
 
 
-def _evaluate_one(c: LinearCombination, host: HostGraph, level: str) -> list:
-    """Single-host evaluation: every term counted as written, no dedupe
-    and no width guard."""
-    _hom_level([c], level)
-    counts = term_counts_for_host([t.graph for t in c.terms], host,
-                                  allow_wide=True)
-    ref = [(i, t.coefficient) for i, t in enumerate(c.terms)]
-    return _combine(counts, [ref], level, host.n)[0]
-
-
 def evaluate(c: LinearCombination, host: HostGraph) -> Fraction:
     """Exact value of a graph-level Hom-basis combination on a host."""
-    return _evaluate_one(c, host, GRAPH_LEVEL)
+    _hom_level([c], GRAPH_LEVEL)
+    return next(batch_evaluate([c], [host], allow_wide=True))[0]
 
 
 def evaluate_node(c: LinearCombination, host: HostGraph) -> list[Fraction]:
     """Per-vertex values of a node-level Hom-basis combination."""
-    return list(_evaluate_one(c, host, NODE_LEVEL))
+    _hom_level([c], NODE_LEVEL)
+    return list(next(batch_evaluate([c], [host], allow_wide=True))[0])
 
 
 # === batch evaluation ===

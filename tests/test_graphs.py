@@ -26,6 +26,7 @@ from motifbasis.graphs import (
     is_isomorphic,
     named_pattern,
     parse_graph6,
+    slot_canonical_edges,
 )
 from motifbasis.oracle import perm_automorphism_count, perm_isomorphic
 
@@ -198,6 +199,43 @@ def test_canonical_key_digest():
     assert len(lines) == 208 + 1167
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == CANONICAL_KEY_DIGEST
+
+
+def _slot_isomorphic(n, a, b, slots):
+    """Whether a permutation of the vertices >= slots maps edges a onto b."""
+    target = set(b)
+    for p in itertools.permutations(range(slots, n)):
+        at = [*range(slots), *p]
+        if {tuple(sorted((at[u], at[v]))) for u, v in a} == target:
+            return True
+    return False
+
+
+def test_slot_canonical_edges_fix_the_slots():
+    # sparse graphs, so most have several components, some isomorphic:
+    # equal edges exactly when an isomorphism fixes every slot, and a
+    # relabelling of the other vertices never changes them
+    rng = random.Random(21)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        slots = rng.randint(0, min(n, 3))
+        a = random_graph(rng, n, 0.3).edges
+        b = random_graph(rng, n, 0.3).edges if rng.random() < 0.5 else a
+        p = [*range(slots), *rng.sample(range(slots, n), n - slots)]
+        b = tuple((p[u], p[v]) for u, v in b)
+        ca = slot_canonical_edges(n, a, slots)
+        assert ca == tuple(sorted(ca)) and len(ca) == len(a)
+        assert _slot_isomorphic(n, a, ca, slots)
+        assert (ca == slot_canonical_edges(n, b, slots)) == \
+            _slot_isomorphic(n, a, {tuple(sorted(e)) for e in b}, slots)
+    # two slot-free components of one size but not isomorphic, under
+    # every relabelling of the unlabelled vertices
+    a = ((1, 2), (2, 3), (1, 3), (4, 5), (5, 6))
+    want = slot_canonical_edges(7, a, 1)
+    for p in itertools.permutations(range(1, 7)):
+        at = (0, *p)
+        assert slot_canonical_edges(7, [(at[u], at[v]) for u, v in a], 1) \
+            == want
 
 
 def test_disjoint_union_and_product():

@@ -6,7 +6,7 @@ from itertools import compress
 
 import pytest
 
-from motifbasis import homcount
+from motifbasis import cli, homcount
 from motifbasis.decomp import elimination_order
 from motifbasis.graphs import (
     AnchoredGraph,
@@ -25,7 +25,7 @@ from motifbasis.homcount import (
     WidthGuardError,
     _compile_buckets,
     _kernel,
-    _node,
+    _Node,
     _plan,
     _requests,
     _run_plan,
@@ -173,9 +173,11 @@ def test_plan_quality_on_anchored_c8_basis():
     # first bag, 1620 before ops were fused)
     ops = leaves = unfiltered = 0
     nodes = set()
-    for t in anchored_spasm_of(named_pattern("C8@0")).terms:
-        # every op of the plan, shared sub-plans repeated
-        tree = [_plan(t.graph.graph, t.graph.anchor)[0]]
+    roots = [_plan(t.graph.graph, t.graph.anchor)[0]
+             for t in anchored_spasm_of(named_pattern("C8@0")).terms]
+    for root in roots:
+        # every op of the plan
+        tree = [root]
         while tree:
             node = tree.pop()
             tree.extend(node.kids)
@@ -186,12 +188,28 @@ def test_plan_quality_on_anchored_c8_basis():
     assert leaves == 164
     assert unfiltered == leaves
     assert ops < 887
-    assert len(nodes) < ops
+    # each plan is a tree of its own nodes; the row computes fewer
+    assert len(nodes) == ops
+    assert len(set(_requests(tuple(roots))[0].values())) < ops
 
 
-def _c8_entries(monkeypatch):
-    """Entries of every kernel's output table over one pass of the
-    anchored C8 basis on ten seeded G(23, 50) hosts."""
+def _row_terms():
+    """The term lists of the three benchmark workloads: the anchored C8
+    basis, every connected pattern on 1..5 vertices in hom mode, and the
+    sub-mode bases of C5 and P5."""
+    hom = [cli.build_combination(p, "hom", None)
+           for p in enumerate_connected_graphs(1, 5)]
+    sub = [cli.build_combination(named_pattern(p), "sub", None)
+           for p in ("C5", "P5")]
+    return {"C8@0": [t.graph for t in
+                     anchored_spasm_of(named_pattern("C8@0")).terms],
+            "omega-con-1-5": dedupe_terms(hom)[0],
+            "C5+P5": dedupe_terms(sub)[0]}
+
+
+def _c8_entries(monkeypatch, terms):
+    """Entries of every kernel's output table over one pass of a term
+    list on ten seeded G(23, 50) hosts."""
     entries = []
     compiled = homcount._kernel
 
@@ -205,7 +223,6 @@ def _c8_entries(monkeypatch):
         return run
 
     monkeypatch.setattr(homcount, "_kernel", counting)
-    terms = [t.graph for t in anchored_spasm_of(named_pattern("C8@0")).terms]
     pairs = [(u, v) for u in range(23) for v in range(u + 1, 23)]
     for seed in range(10):
         host = HostGraph(23, random.Random(seed).sample(pairs, 50))
@@ -215,23 +232,29 @@ def _c8_entries(monkeypatch):
 
 
 def test_kernel_entries_on_anchored_c8_basis(monkeypatch):
-    # the DP's work as an exact count (243,807 when join children were
-    # padded to the full bag, 180,515 when only op-equal sub-plans shared
-    # a table)
-    assert _c8_entries(monkeypatch) == 156_167
+    # the DP's work as an exact count, and the representatives of each
+    # row, for the anchored C8 basis and the other two benchmark term
+    # lists (C8@0: 243,807 entries when join children were padded to the
+    # full bag, 180,515 when only op-equal sub-plans shared a table)
+    want = {"C8@0": (156_167, 152), "omega-con-1-5": (27_046, 57),
+            "C5+P5": (10_867, 19)}
+    for name, terms in _row_terms().items():
+        reps, _ = _requests(tuple(_term_plan(t)[0] for t in terms))
+        got = _c8_entries(monkeypatch, terms), len(set(reps.values()))
+        assert got == want[name], name
 
 
 def test_sharing_does_not_depend_on_what_else_was_compiled(monkeypatch):
-    # plans compiled along random orders, and rows of them counted, intern
-    # nodes and fill in meanings; the C8@0 row still picks its
-    # representatives from its own roots alone
-    _node.cache_clear()
+    # after plans compiled along random orders, and rows of them counted,
+    # the C8@0 row still picks its representatives from its own roots
+    # alone
     _plan.cache_clear()
     _requests.cache_clear()
     rng = random.Random(56)
     host = random_host(rng, 6)
-    for t in anchored_spasm_of(named_pattern("C8@0")).terms:
-        g, a = t.graph.graph, t.graph.anchor
+    terms = [t.graph for t in anchored_spasm_of(named_pattern("C8@0")).terms]
+    for t in terms:
+        g, a = t.graph, t.anchor
         roots = []
         for _ in range(3):
             order = rng.sample([v for v in range(g.n) if v != a], g.n - 1)
@@ -239,7 +262,21 @@ def test_sharing_does_not_depend_on_what_else_was_compiled(monkeypatch):
         for root in roots:
             _run_plan(root, host)
         _SubplanStore(roots)
-    assert _c8_entries(monkeypatch) == 156_167
+    assert _c8_entries(monkeypatch, terms) == 156_167
+
+
+def test_many_isomorphic_components_count_fast():
+    # a meaning canonicalises each component alone; one search over the
+    # whole partial pattern branched on every permutation of its equal
+    # components (11 s for the triangles, 35 s for the isolated vertices)
+    host = HostGraph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)])
+    triangles = Graph(0)
+    for _ in range(30):
+        triangles = disjoint_union(triangles, named_pattern("K3"))
+    for pattern, want in ((triangles, 6 ** 30), (Graph(80), 6 ** 80)):
+        start = time.perf_counter()
+        assert hom_count(pattern, host) == want
+        assert time.perf_counter() - start < 1
 
 
 def test_pull_kernel_guard_on_a_star():
@@ -280,16 +317,15 @@ def test_dense_kernel_guard_on_a_long_path():
         assert peak < 1 << 20, op
 
 
-def test_compile_interns_only_reachable_nodes():
-    # a bucket's top op is interned only once no later bucket can still
-    # fuse a forget into it; the row computes one node per meaning
-    _node.cache_clear()
+def test_c8_row_maps_its_nodes_to_152_representatives():
+    # a bucket's top op becomes a node only once no later bucket can
+    # still fuse a forget into it; the row computes one node per meaning
     _plan.cache_clear()
     _requests.cache_clear()
     terms = [t.graph for t in anchored_spasm_of(named_pattern("C8@0")).terms]
     roots = tuple(_term_plan(t)[0] for t in terms)
     reps, takes = _requests(roots)
-    assert _node.cache_info().currsize == len(reps) == 184
+    assert len(reps) == 837
     assert len(takes) == len(set(reps.values())) == 152
 
 
@@ -425,8 +461,9 @@ def test_kernels_match_oracle(monkeypatch):
     # no bucket ends in an introduce without neighbours that keeps its new
     # slot, so that kernel runs in a plan built by hand: two isolated
     # vertices, anchored at the second, the first summed out
-    first = _node(("intro", 0, (), None), (_node(("leaf",), ()),))
-    plan = _node(("intro", 1, (), (1,)), (first,))
+    first = _Node(("intro", 0, (), None), (_Node(("leaf",), (), (), ()),),
+                  (0,), (0,))
+    plan = _Node(("intro", 1, (), (1,)), (first,), (1,), (1,))
     h = random_graph(rng, 5)
     assert [_run_plan(plan, HostGraph.from_graph(h)).get((w,), 0)
             for w in range(5)] == brute_hom_node(AnchoredGraph(Graph(2), 1), h)

@@ -361,7 +361,7 @@ def _route_hom_graph(pattern: Graph, anchor: int, host: Graph):
 def _route_hom_node(pattern: Graph, anchor: int, host: Graph):
     got = hom_count_node(AnchoredGraph(pattern, anchor),
                          HostGraph.from_graph(host))
-    return list(got.values), brute_hom_node(AnchoredGraph(pattern, anchor), host)
+    return list(got), brute_hom_node(AnchoredGraph(pattern, anchor), host)
 
 
 def _route_sub_graph(pattern: Graph, anchor: int, host: Graph):
@@ -419,7 +419,7 @@ def _route_union(pattern: Graph, anchor: int, host: Graph):
         pattern = disjoint_union(
             pattern, rng.choice(enumerate_connected_graphs(1, room)))
     ap, h = AnchoredGraph(pattern, anchor), HostGraph.from_graph(host)
-    return ((hom_count(pattern, h), list(hom_count_node(ap, h).values)),
+    return ((hom_count(pattern, h), list(hom_count_node(ap, h))),
             (brute_hom(pattern, host), brute_hom_node(ap, host)))
 
 

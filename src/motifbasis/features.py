@@ -402,18 +402,6 @@ def encode(m: FeatureMatrix, spec: EncodingSpec) -> FeatureMatrix:
                          m.failures, encoding="sinusoidal")
 
 
-def _cell_text(x) -> str:
-    if type(x) is float:  # most cells; the ABC check below is slow
-        return repr(x)
-    if x is None:
-        return ""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return format_exact(x)
-    return repr(x)
-
-
 def _open_out(path):
     if path == "-":
         return contextlib.nullcontext(sys.stdout)
@@ -427,8 +415,8 @@ def export(m: FeatureMatrix, path, format: str = "csv") -> None:
         with _open_out(path) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["row_id"] + [c.name for c in m.columns])
-            for rid, row in zip(m.row_ids, m.rows):
-                writer.writerow([rid] + [_cell_text(x) for x in row])
+            writer.writerows([rid, *row]
+                             for rid, row in zip(m.row_ids, m.rows))
         return
     if format == "jsonl":
         with _open_out(path) as fh:

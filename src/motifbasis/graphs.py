@@ -207,11 +207,16 @@ def _find_color_automorphism(
     used = [False] * n
 
     def consistent(x: int, y: int) -> bool:
-        for x2 in range(n):
+        # x's mapped neighbours must land on neighbours of y, and, the
+        # mapping being injective, make up all of y's used neighbours
+        ay, k = adj[y], 0
+        for x2 in adj[x]:
             y2 = mapping[x2]
-            if y2 >= 0 and (x2 in adj[x]) != (y2 in adj[y]):
-                return False
-        return True
+            if y2 >= 0:
+                if y2 not in ay:
+                    return False
+                k += 1
+        return k == sum(used[u] for u in ay)
 
     def dfs(k: int) -> bool:
         if k == n:
@@ -348,17 +353,21 @@ def slot_canonical_edges(n: int, edges: Iterable[tuple[int, int]],
     label come first, by smallest label, then the components that hold
     none, sorted by their canonical edges.  One search over the whole
     graph would branch on every permutation of isomorphic components.
+    A component that holds no label is canonicalised by `_canon`, the
+    plain graph's cached search, so equal components are searched once.
     """
     g = Graph(n, {(u, v) if u < v else (v, u) for u, v in edges})
     rest, free = [], []
     for comp in component_vertex_sets(g):
         sub = g if len(comp) == n else induced_subgraph(g, comp)
-        order, _ = _canonical_order(sub._adj, [min(v, slots) for v in comp])
         if comp[0] < slots:
+            order, _ = _canonical_order(sub._adj,
+                                        [min(v, slots) for v in comp])
             rest += (comp[i] for i in order if comp[i] >= slots)
         else:
-            code = _relabelled(order, sub.edges)[1]
-            free.append((sub.n, code, [comp[i] for i in order]))
+            code, perm, _, _ = _canon(sub.n, sub.edges, None)
+            order = [v for _, v in sorted(zip(perm, comp))]
+            free.append((sub.n, code, order))
     free.sort(key=lambda f: f[:2])
     rest += (v for *_, order in free for v in order)
     return _relabelled([*range(slots), *rest], g.edges)[1]

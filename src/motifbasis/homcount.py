@@ -166,17 +166,6 @@ class HostGraph:
         return (HostGraph, (self.n, tuple(self.edges())))
 
 
-@dataclass(frozen=True)
-class CountVector:
-    """Per-vertex counts, tagged with the anchored pattern's canonical key."""
-
-    key: str
-    values: tuple[int, ...]
-
-    def total(self) -> int:
-        return sum(self.values)
-
-
 # === plan compilation ===
 
 
@@ -592,14 +581,12 @@ def hom_count(pattern: Graph, host: HostGraph,
         raise TypeError("use hom_count_node for anchored patterns")
     if pattern.n < 1:
         raise ValueError("pattern needs at least one vertex")
-    if host.n == 0:
-        return 0
     return _run_plan(_plan(pattern, None)[0], host, store).get((), 0)
 
 
 def hom_count_node(pattern: AnchoredGraph, host: HostGraph,
-                   store: Optional[_SubplanStore] = None) -> CountVector:
-    """Homomorphism counts keyed by the image of the anchor.
+                   store: Optional[_SubplanStore] = None) -> tuple[int, ...]:
+    """Homomorphism counts indexed by the image of the anchor.
 
     Entry v counts homomorphisms sending the anchor to host vertex v, so
     the entries sum to hom_count of the underlying pattern.  The store is
@@ -607,14 +594,8 @@ def hom_count_node(pattern: AnchoredGraph, host: HostGraph,
     """
     if not isinstance(pattern, AnchoredGraph):
         raise TypeError("hom_count_node needs an AnchoredGraph")
-    if pattern.n < 1:
-        raise ValueError("pattern needs at least one vertex")
-    key = canonical_key(pattern)
-    if host.n == 0:
-        return CountVector(key, ())
     table = _run_plan(_plan(pattern.graph, pattern.anchor)[0], host, store)
-    values = tuple(map(table.get, zip(range(host.n)), repeat(0)))
-    return CountVector(key, values)
+    return tuple(map(table.get, zip(range(host.n)), repeat(0)))
 
 
 def plan_width(pattern: PatternLike) -> int:
@@ -740,7 +721,7 @@ def term_counts_for_host(terms: Sequence[PatternLike], host: HostGraph,
     for t in terms:
         check_width_guard(t, host.n, allow_wide)
         if isinstance(t, AnchoredGraph):
-            row.append(hom_count_node(t, host, store).values)
+            row.append(hom_count_node(t, host, store))
         else:
             row.append(hom_count(t, host, store))
     return row

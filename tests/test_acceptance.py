@@ -176,7 +176,7 @@ def test_criterion_05_engine_matches_oracle(acceptance_log):
              brute_sub(pattern, host)),
             ("indsub", evaluate(indsub_expansion(pattern), hh),
              brute_indsub(pattern, host)),
-            ("hom-node", list(hom_count_node(anchored, hh).values),
+            ("hom-node", list(hom_count_node(anchored, hh)),
              brute_hom_node(anchored, host)),
             ("sub-node", evaluate_node(anchored_spasm_of(anchored), hh),
              brute_sub_node(anchored, host)),
@@ -249,7 +249,7 @@ def test_criterion_07_node_sum_identity(acceptance_log):
     for host in hosts:
         for t in terms:
             vec = hom_count_node(t, host)
-            if sum(vec.values) != hom_count(t.graph, host):
+            if sum(vec) != hom_count(t.graph, host):
                 bad += 1
     acceptance_log.record(
         7, "node counts sum to graph counts", bad == 0,
@@ -263,8 +263,8 @@ def test_criterion_08_star_anchoring(acceptance_log):
     host = HostGraph.from_graph(star)
     center = max(range(star.n), key=star.degree)
     p3 = named_pattern("P3")
-    middle = hom_count_node(AnchoredGraph(p3, 1), host).values
-    end = hom_count_node(AnchoredGraph(p3, 0), host).values
+    middle = hom_count_node(AnchoredGraph(p3, 1), host)
+    end = hom_count_node(AnchoredGraph(p3, 0), host)
     ok = middle[center] == 81 and end[center] == 9
     acceptance_log.record(
         8, "star anchoring split", ok,

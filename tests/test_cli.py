@@ -181,9 +181,14 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def test_readme_examples_run(capsys):
     # every `motifbasis spasm|treewidth|enumerate` line of README's sh
-    # blocks needs no dataset, so each runs as written
-    blocks = re.findall(r"^```sh\n(.*?)^```",
-                        README.read_text(encoding="utf-8"), flags=re.M | re.S)
+    # blocks needs no dataset, so each runs as written; so does every
+    # python block
+    text = README.read_text(encoding="utf-8")
+    python = re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+    assert python
+    for block in python:
+        exec(compile(block, "README.md", "exec"), {})
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
     examples = [shlex.split(line, comments=True)[1:]
                 for block in blocks for line in block.splitlines()
                 if re.match(r"motifbasis (spasm|treewidth|enumerate) ", line)]

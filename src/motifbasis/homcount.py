@@ -40,25 +40,22 @@ node's table is fixed by its meaning, the partial pattern its sub-plan
 adds, with the key's slots labelled in key order and the summed-out
 vertices labelled canonically, so nodes reached through other labels or
 another introduce order hold equal tables when their meanings are
-equal.  Once per row of roots, the row analysis maps each node to a
-representative, the first node with its meaning in post-order over the
-roots in row order, and reads off how often the row asks for each
-representative's table: once per root occurrence, plus once per child
-reference of each representative it computes.  Meanings are built
-there, not at plan compile, and the choice depends on the row alone.
-`term_counts_for_host` counts a row's terms in order with one sub-plan
-store per host, and the executor asks the store for a node's
-representative before it recurses into the representative's children,
-so the largest stored sub-plan is always the one used.  A table asked
-for more than once is kept after it is computed and dropped at its last
-take.
+equal.  Once per row of roots, not per host, the row is compiled into
+one program.  Each node maps to a representative, the first node with
+its meaning in post-order over the roots in row order, so the choice
+depends on the row alone.  For each root the program lists flat steps,
+one kernel run each, from input cells into an output cell: the
+representatives first asked for at that root, in post-order.  A cell is
+emptied after its last read in the row, so each meaning is computed
+once per host, a table is kept exactly as long as the row needs it, and
+a host's run of the row, its cells and a cursor over the roots, ends
+empty.
 
 Everything is arbitrary-precision integer arithmetic; floats never appear.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -305,7 +302,7 @@ def _term_plan(t: PatternLike) -> tuple[_Node, int]:
     return _plan(t, None)
 
 
-# === the sub-plan store ===
+# === the row program ===
 
 
 def _meaning(node: _Node) -> tuple:
@@ -330,61 +327,70 @@ def _meaning(node: _Node) -> tuple:
         len(at), [(at[u], at[w]) for u, w in edges], node.size))
 
 
-@lru_cache(maxsize=64)
-def _requests(roots: tuple[_Node, ...]
-              ) -> tuple[dict[_Node, _Node], Counter]:
-    """The row analysis of `roots`: each reachable node's representative,
-    and how often running `roots` in order asks for each
-    representative's table.
+def _post_order(root: _Node, kids) -> Iterator[_Node]:
+    """The nodes under root, each after those `kids` lists for it."""
+    todo = [(root, False)]
+    while todo:
+        node, done = todo.pop()
+        if done:
+            yield node
+        else:
+            todo.append((node, True))
+            todo.extend((kid, False) for kid in reversed(kids(node)))
 
-    The representative of a node is the first node with its meaning in
-    post-order over the roots in row order, so the choice depends on the
-    row alone.  Each root occurrence asks once for its representative.
-    Every representative asked for is computed once, on its first
-    request, and then asks once for the representative of each of its
-    children.
-    """
+
+def _representatives(roots: Sequence[_Node]) -> dict[_Node, _Node]:
+    """Each node reachable from `roots` mapped to its representative: the
+    first node with its meaning in post-order over the roots in row
+    order, so the choice depends on the row alone."""
     reps: dict[_Node, _Node] = {}
     first: dict[tuple, _Node] = {}
-
-    def visit(node: _Node) -> None:
-        if node not in reps:
-            reps[node] = node  # marks it seen; plans have no cycles
-            for kid in node.kids:
-                visit(kid)
-            reps[node] = first.setdefault(_meaning(node), node)
-
-    need: Counter = Counter()
-
-    def ask(node: _Node) -> None:
-        rep = reps[node]
-        need[rep] += 1
-        if need[rep] == 1:
-            for kid in rep.kids:
-                ask(kid)
-
-    for root in roots:
-        visit(root)
-    for root in roots:
-        ask(root)
-    return reps, need
+    for root in roots:  # a root met again (a term listed twice) is skipped
+        for node in _post_order(root, lambda x: () if x in reps else x.kids):
+            if node not in reps:
+                reps[node] = first.setdefault(_meaning(node), node)
+    return reps
 
 
-class _SubplanStore:
-    """Sub-plan tables of one host, for one row's roots.
+@lru_cache(maxsize=64)
+def _program(roots: tuple[_Node, ...]) -> tuple[int, tuple]:
+    """The row program of `roots`: the number of cells a host's run needs,
+    and, for each root in row order, (root, steps, cell, drop).
 
-    A node's table is looked up, computed and kept under its
-    representative.  A table asked for more than once is kept after it
-    is computed, with the number of requests still to come, and dropped
-    at the last one, so a row that runs all its roots in order leaves
-    the store empty.
+    A root's steps compute, in post-order, each representative the row
+    asks for there for the first time, after its children's; `cell` then
+    holds the root's table.  A step (op, arity, ins, out, clear) runs the
+    kernel of `op` over cells `ins` (a leaf has none and makes {(): 1})
+    into cell `out`, then empties the cells it was the row's last read
+    of, and `drop` lists those of the root's own read.
     """
+    reps = _representatives(roots)
+    cell: dict[_Node, int] = {}  # representative -> its cell
+    last: dict[int, list] = {}  # cell -> the clear list of its last read
+    segments = []
+    for root in roots:
+        steps = []
+        for rep in _post_order(reps[root], lambda x: () if x in cell else
+                               tuple(reps[kid] for kid in x.kids)):
+            if rep not in cell:
+                ins = tuple(cell[reps[kid]] for kid in rep.kids)
+                clear: list[int] = []
+                last.update(dict.fromkeys(ins, clear))
+                cell[rep] = len(cell)
+                steps.append((rep.op, rep.kids[0].size if ins else 0, ins,
+                              cell[rep], clear))
+        out = cell[reps[root]]
+        drop = last[out] = []
+        segments.append((root, steps, out, drop))
+    for c, clear in last.items():
+        clear.append(c)
+    return len(cell), tuple(segments)
 
-    __slots__ = ("reps", "takes", "live")
 
-    def __init__(self, roots: Iterable[_Node]):
-        self.reps, self.takes = _requests(tuple(roots))
-        self.live: dict[_Node, list] = {}  # rep -> [table, takes left]
+def _store(roots: Iterable[_Node]) -> tuple[Iterator[tuple], list]:
+    """A host's run of the roots' row program: a cursor, empty cells."""
+    size, segments = _program(tuple(roots))
+    return iter(segments), [None] * size
 
 
 # === plan execution ===
@@ -535,34 +541,23 @@ def _kernel(op: tuple, arity: int):
 
 
 def _run_plan(node: _Node, host: HostGraph,
-              store: Optional[_SubplanStore] = None) -> dict:
-    """Evaluate a sub-plan on a host; returns its table (assignment tuple
-    -> count).
-
-    The node stands for its representative in the store.  The store is
-    asked for it first and its children only when it is not there, so
-    the largest stored sub-plan is always the one used.  Without a
-    store, one is made for this node alone.
+              store: Optional[tuple] = None) -> dict:
+    """The table (assignment tuple -> count) of a root's plan on a host:
+    the steps of the store's next root, which must be `node`, run as one
+    loop.  Without a store, one is made for this root alone.
     """
-    if store is None:
-        store = _SubplanStore((node,))
-    node = store.reps[node]
-    live = store.live
-    entry = live.get(node)
-    if entry is not None:
-        entry[1] -= 1
-        if not entry[1]:
-            del live[node]
-        return entry[0]
-    kids = node.kids
-    if kids:
-        table = _kernel(node.op, kids[0].size)(
-            *[_run_plan(kid, host, store) for kid in kids], host)
-    else:
-        table = {(): 1}
-    left = store.takes[node] - 1
-    if left > 0:
-        live[node] = [table, left]
+    segments, cells = _store((node,)) if store is None else store
+    root, steps, out, drop = next(segments, (None,) * 4)
+    if root is not node:
+        raise ValueError("not the next root of the store's row program")
+    for op, arity, ins, dst, clear in steps:
+        cells[dst] = (_kernel(op, arity)(*[cells[i] for i in ins], host)
+                      if ins else {(): 1})
+        for i in clear:
+            cells[i] = None
+    table = cells[out]
+    for i in drop:
+        cells[i] = None
     return table
 
 
@@ -570,12 +565,13 @@ def _run_plan(node: _Node, host: HostGraph,
 
 
 def hom_count(pattern: Graph, host: HostGraph,
-              store: Optional[_SubplanStore] = None) -> int:
+              store: Optional[tuple] = None) -> int:
     """Exact number of homomorphisms pattern -> host.
 
     No resource guard here; callers protect themselves with
-    check_width_guard.  A store (term_counts_for_host passes one per
-    host) shares sub-plan tables between the terms of one row.
+    check_width_guard.  A store, one host's run of a row program
+    (term_counts_for_host passes one), shares sub-plan tables between
+    the row's terms, which must go through it in row order (ValueError).
     """
     if isinstance(pattern, AnchoredGraph):
         raise TypeError("use hom_count_node for anchored patterns")
@@ -585,7 +581,7 @@ def hom_count(pattern: Graph, host: HostGraph,
 
 
 def hom_count_node(pattern: AnchoredGraph, host: HostGraph,
-                   store: Optional[_SubplanStore] = None) -> tuple[int, ...]:
+                   store: Optional[tuple] = None) -> tuple[int, ...]:
     """Homomorphism counts indexed by the image of the anchor.
 
     Entry v counts homomorphisms sending the anchor to host vertex v, so
@@ -713,10 +709,10 @@ def term_counts_for_host(terms: Sequence[PatternLike], host: HostGraph,
     """Counts of every term on one host; ints or per-vertex tuples.
 
     Terms are counted in order, each through hom_count or hom_count_node,
-    with one sub-plan store for the row: a sub-plan that several terms'
-    plans contain is computed once on this host.
+    with one run of the row's program as the store: a sub-plan that
+    several terms' plans contain is computed once on this host.
     """
-    store = _SubplanStore(_term_plan(t)[0] for t in terms)
+    store = _store(_term_plan(t)[0] for t in terms)
     row = []
     for t in terms:
         check_width_guard(t, host.n, allow_wide)

@@ -27,9 +27,10 @@ from motifbasis.homcount import (
     _kernel,
     _Node,
     _plan,
-    _requests,
+    _program,
+    _representatives,
     _run_plan,
-    _SubplanStore,
+    _store,
     _term_plan,
     batch_evaluate,
     batch_term_counts,
@@ -193,7 +194,7 @@ def test_plan_quality_on_anchored_c8_basis():
     assert ops < 887
     # each plan is a tree of its own nodes; the row computes fewer
     assert len(nodes) == ops
-    assert len(set(_requests(tuple(roots))[0].values())) < ops
+    assert len(set(_representatives(roots).values())) < ops
 
 
 def _row_terms():
@@ -242,7 +243,7 @@ def test_kernel_entries_on_anchored_c8_basis(monkeypatch):
     want = {"C8@0": (156_167, 152), "omega-con-1-5": (27_046, 57),
             "C5+P5": (10_867, 19)}
     for name, terms in _row_terms().items():
-        reps, _ = _requests(tuple(_term_plan(t)[0] for t in terms))
+        reps = _representatives([_term_plan(t)[0] for t in terms])
         got = _c8_entries(monkeypatch, terms), len(set(reps.values()))
         assert got == want[name], name
 
@@ -252,7 +253,7 @@ def test_sharing_does_not_depend_on_what_else_was_compiled(monkeypatch):
     # the C8@0 row still picks its representatives from its own roots
     # alone
     _plan.cache_clear()
-    _requests.cache_clear()
+    _program.cache_clear()
     rng = random.Random(56)
     host = random_host(rng, 6)
     terms = [t.graph for t in anchored_spasm_of(named_pattern("C8@0")).terms]
@@ -264,7 +265,7 @@ def test_sharing_does_not_depend_on_what_else_was_compiled(monkeypatch):
             roots.append(_compile_buckets(g, order + [a], True))
         for root in roots:
             _run_plan(root, host)
-        _SubplanStore(roots)
+        _program(tuple(roots))
     assert _c8_entries(monkeypatch, terms) == 156_167
 
 
@@ -282,6 +283,37 @@ def test_many_isomorphic_components_count_fast():
         assert time.perf_counter() - start < 1
 
 
+def test_deep_rows_count_without_recursion():
+    # a pattern of 500 components compiles into a chain of 500 joins; the
+    # row program runs it as a loop, where a recursive executor went two
+    # frames deep per join and hit the recursion limit
+    host = HostGraph(3, [(0, 1)])
+    terms = [Graph(500), AnchoredGraph(Graph(500), 0)]
+    assert term_counts_for_host(terms, host) == [3 ** 500, (3 ** 499,) * 3]
+    assert hom_count(Graph(500), host) == 3 ** 500
+
+
+def test_a_store_counts_its_own_row_in_order():
+    # a store hands back a table only for the root its cursor is at
+    host = HostGraph(3, [(0, 1), (1, 2)])
+    p3, k2 = named_pattern("P3"), named_pattern("K2")
+    anchored = AnchoredGraph(p3, 0)
+    roots = [_term_plan(t)[0] for t in (k2, p3, anchored)]
+    store = _store(roots)
+    assert hom_count(k2, host, store) == 4
+    with pytest.raises(ValueError, match="next root"):
+        hom_count_node(anchored, host, store)  # out of order
+    store = _store(roots)
+    assert hom_count(k2, host, store) == 4
+    assert hom_count(p3, host, store) == 6
+    assert hom_count_node(anchored, host, store) == (2, 2, 2)
+    assert all(table is None for table in store[1])
+    with pytest.raises(ValueError, match="next root"):
+        hom_count(k2, host, store)  # the row is done
+    with pytest.raises(ValueError, match="next root"):
+        hom_count(p3, host, _store(roots[:1]))  # not in this row
+
+
 def test_equal_components_are_searched_once(monkeypatch):
     # a component that holds no slot of a meaning reuses the plain graph's
     # cached canonical search, so equal components cost one search
@@ -292,7 +324,7 @@ def test_equal_components_are_searched_once(monkeypatch):
     for pattern, homs, searches in ((Graph(200), 6 ** 200, 1),
                                     (triangles, 6 ** 30, 90)):
         _plan.cache_clear()
-        _requests.cache_clear()
+        _program.cache_clear()
         graphs._canon.cache_clear()
         calls = []
         search = graphs._canonical_order
@@ -349,12 +381,14 @@ def test_c8_row_maps_its_nodes_to_152_representatives():
     # a bucket's top op becomes a node only once no later bucket can
     # still fuse a forget into it; the row computes one node per meaning
     _plan.cache_clear()
-    _requests.cache_clear()
+    _program.cache_clear()
     terms = [t.graph for t in anchored_spasm_of(named_pattern("C8@0")).terms]
     roots = tuple(_term_plan(t)[0] for t in terms)
-    reps, takes = _requests(roots)
+    reps = _representatives(roots)
     assert len(reps) == 837
-    assert len(takes) == len(set(reps.values())) == 152
+    assert len(set(reps.values())) == 152
+    cells, segments = _program(roots)
+    assert cells == sum(len(steps) for _, steps, _, _ in segments) == 152
 
 
 def test_merged_nodes_hold_their_representatives_tables():
@@ -369,7 +403,7 @@ def test_merged_nodes_hold_their_representatives_tables():
         aq = AnchoredGraph(q, rng.randrange(q.n))
         terms = ([t.graph for t in spasm_of(p).terms]
                  + [t.graph for t in anchored_spasm_of(aq).terms])
-        reps, _ = _requests(tuple(_term_plan(t)[0] for t in terms))
+        reps = _representatives([_term_plan(t)[0] for t in terms])
         merged += sum(node is not rep for node, rep in reps.items())
         h = random_graph(rng, rng.randint(1, 6))
         host = HostGraph.from_graph(h)

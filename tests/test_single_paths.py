@@ -5,13 +5,14 @@ and their node-level forms) goes through one combine step, and every
 graph constructor and dataset loader goes through one edge validator.
 These tests drive each entry point with seeded random inputs against the
 brute-force oracle, and each constructor with the same bad edges.  One
-row's terms are counted through one sub-plan store; the shared-executor
-tests check those rows against per-term counts without a store and
-against the oracle, that the store is empty after every row, and that
-each distinct sub-plan of a row is computed exactly once.
+row's terms are counted through one run of the row's program; the
+shared-executor tests check those rows against per-term counts without a
+store and against the oracle, that the run's cells are empty after every
+row, and that each distinct sub-plan of a row is computed exactly once.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -178,9 +179,16 @@ def test_shared_rows_match_single_terms_and_oracle(seed, monkeypatch):
             row = term_counts_for_host(terms, host)
             assert len(stores) == len(terms)
             assert len({id(s) for s in stores}) == 1 and stores[0] is not None
-            assert stores[0].live == {}  # every table dropped after use
-            shared += any(n > 1 and node.kids
-                          for node, n in stores[0].takes.items())
+            # every table dropped after use
+            assert all(table is None for table in stores[0][1])
+            # some sub-plan's table is read more than once
+            roots = tuple(homcount._term_plan(t)[0] for t in terms)
+            segments = homcount._program(roots)[1]
+            steps = [step for _, seg, _, _ in segments for step in seg]
+            reads = Counter(i for _, _, ins, _, _ in steps for i in ins)
+            reads.update(out for _, _, out, _ in segments)  # roots' reads
+            shared += any(reads[out] > 1 for _, _, ins, out, _ in steps
+                          if ins)
             alone, want = [], []
             for t in terms:
                 if isinstance(t, AnchoredGraph):
@@ -218,11 +226,22 @@ def test_each_subplan_computed_once_per_row(seed, monkeypatch):
             if node not in nodes:
                 nodes.add(node)
                 todo.extend(node.kids)
-        takes = homcount._requests(tuple(roots))[1]
-        computed = sum(bool(rep.kids) for rep in takes)  # leaves: no kernel
+        # the representatives the row asks for: each root's, and each
+        # child's of a representative asked for
+        reps = homcount._representatives(roots)
+        asked, todo = set(), [reps[root] for root in roots]
+        while todo:
+            rep = todo.pop()
+            if rep not in asked:
+                asked.add(rep)
+                todo.extend(reps[kid] for kid in rep.kids)
+        computed = sum(bool(rep.kids) for rep in asked)  # leaves: no kernel
         assert computed == len({homcount._meaning(rep)
-                                for rep in takes if rep.kids})
+                                for rep in asked if rep.kids})
         assert computed <= sum(bool(node.kids) for node in nodes)
+        steps = [step for _, seg, _, _ in homcount._program(tuple(roots))[1]
+                 for step in seg]
+        assert computed == sum(bool(ins) for _, _, ins, _, _ in steps)
         for h in hosts:
             calls.clear()
             term_counts_for_host(terms, HostGraph.from_graph(h))

@@ -3,21 +3,25 @@
 Treewidth is computed by the classic dynamic program over vertex subsets:
 f(S) is the best achievable maximum elimination degree over orderings of S,
 with f(S) = min over v in S of max(f(S - v), degree of v when eliminated
-last among S).  `elimination_order`, the one place a pattern is split
-into components, runs the DP and its vertex limit per connected
-component, so the cost is exponential in the largest component, which
-is fine for motif patterns; hosts never come through here.
+last among S).  `optimal_orders`, the one place a pattern is split into
+components, runs the DP and its vertex limit per connected component,
+so the cost is exponential in the largest component, which is fine for
+motif patterns; hosts never come through here.  Its table holds every
+order of optimal width, not just one: where f(S - v) and v's degree
+both stay within the width, v can be eliminated last among S.
 
-The counting engine compiles that order, one plan per pattern, by bucket
-elimination (`homcount._compile_buckets`).  `treewidth_exact` rebuilds
-a decomposition from it by simulating the eliminations: the bag of v is
-v plus its neighbors in the current fill graph, and v's bag hangs off
-the bag of the next eliminated fill neighbor, or off the next bag when
-its component is done.  Bags are listed in elimination order, so a bag
-is the scope of its bucket.  A decomposition is rooted where its
-elimination ends, at its last bag, so every tree edge forgets the child
-bag's own vertex.  An anchor is eliminated last, so the root bag is
-exactly {anchor}.
+`elimination_order` is the DP's own order.  The counting engine walks
+the other optimal orders too, choosing one per term of a row, and
+compiles it by bucket elimination (`homcount._choose`,
+`homcount._compile_buckets`).  `treewidth_exact` rebuilds a
+decomposition from the DP's own order by simulating the eliminations:
+the bag of v is v plus its neighbors in the current fill graph, and v's
+bag hangs off the bag of the next eliminated fill neighbor, or off the
+next bag when its component is done.  Bags are listed in elimination
+order, so a bag is the scope of its bucket.  A decomposition is rooted
+where its elimination ends, at its last bag, so every tree edge forgets
+the child bag's own vertex.  An anchor is eliminated last, so the root
+bag is exactly {anchor}.
 """
 
 from __future__ import annotations
@@ -71,9 +75,12 @@ def _reach_outside(adj_masks: list[int], allowed: int, v: int) -> int:
     return outside.bit_count()
 
 
-def _subset_dp(g: Graph, anchor: Optional[int]) -> tuple[int, list[int]]:
-    """Width and an optimal elimination order of a connected graph, by the
-    subset DP; the anchor, when given, is eliminated last."""
+def _subset_dp(g: Graph, anchor: Optional[int]
+               ) -> tuple[list[int], list[int], list[int]]:
+    """The subset DP's tables over a connected graph: f, the best width of
+    eliminating each vertex set first; choice, the vertex an optimal such
+    order eliminates last among the set; and the adjacency bit masks.
+    The anchor, when given, is eliminated last."""
     n = g.n
     adj_masks = [0] * n
     for u, v in g.edges:
@@ -108,21 +115,78 @@ def _subset_dp(g: Graph, anchor: Optional[int]) -> tuple[int, list[int]]:
                 pick = v
         f[s] = best
         choice[s] = pick
+    return f, choice, adj_masks
 
-    # unwind: choice[S] is eliminated last among S
-    order = []
-    s = full
-    while s:
-        v = choice[s]
-        order.append(v)
-        s &= ~(1 << v)
-    order.reverse()
-    return f[full], order
+
+class OptimalOrders:
+    """The width-optimal elimination orders of one connected component,
+    read off its subset DP.  Orders are built from their end: `options`
+    lists the vertices that can come just before a given suffix, and
+    `complete` extends a suffix the way the DP's own order does.
+    Vertices are the graph's labels; the anchor, when the component
+    holds it, ends every order.
+    """
+
+    __slots__ = ("vertices", "width", "anchored", "_f", "_choice", "_masks",
+                 "_bit")
+
+    def __init__(self, g: Graph, vertices: tuple[int, ...],
+                 anchor: Optional[int]):
+        a = vertices.index(anchor) if anchor in vertices else None
+        self.vertices, self.anchored = vertices, a is not None
+        self._f, self._choice, self._masks = _subset_dp(
+            induced_subgraph(g, vertices), a)
+        self._bit = {v: 1 << i for i, v in enumerate(vertices)}
+        self.width = self._f[-1]
+
+    def _rest(self, suffix) -> int:
+        """The set, as a bit mask, of the vertices before the suffix."""
+        return len(self._f) - 1 - sum(map(self._bit.__getitem__, suffix))
+
+    def options(self, suffix: list[int]) -> list[int]:
+        """The vertices that can be eliminated right before `suffix` in an
+        order of the component's width, the DP's own pick first."""
+        s = self._rest(suffix)
+        out = [self.vertices[self._choice[s]]]
+        if self.anchored and not suffix:
+            return out  # the anchor
+        for i, v in enumerate(self.vertices):
+            prev = s & ~(1 << i)
+            if (v != out[0] and prev != s and self._f[prev] <= self.width
+                    and _reach_outside(self._masks, prev, i) <= self.width):
+                out.append(v)
+        return out
+
+    def complete(self, suffix: list[int]) -> list[int]:
+        """The DP's own order of the vertices before `suffix`, then it."""
+        s, head = self._rest(suffix), []
+        while s:
+            i = self._choice[s]
+            head.append(self.vertices[i])
+            s &= ~(1 << i)
+        return head[::-1] + list(suffix)
+
+
+def optimal_orders(g: Graph, anchor: Optional[int] = None
+                   ) -> list[OptimalOrders]:
+    """The width-optimal orders of each connected component, in the order
+    `elimination_order` eliminates the components: by smallest vertex,
+    the anchor's last."""
+    if anchor is not None and not 0 <= anchor < g.n:
+        raise ValueError(f"anchor {anchor} out of range for {g.n} vertices")
+    comps = []
+    for vs in sorted(component_vertex_sets(g), key=lambda vs: anchor in vs):
+        if len(vs) > TREEWIDTH_LIMIT:
+            raise LimitError(
+                f"exact treewidth limited to components of n <="
+                f" {TREEWIDTH_LIMIT}, got {len(vs)}")
+        comps.append(OptimalOrders(g, vs, anchor))
+    return comps
 
 
 def elimination_order(g: Graph, anchor: Optional[int] = None
                       ) -> tuple[int, list[int]]:
-    """Exact treewidth and an optimal elimination order.
+    """Exact treewidth and an optimal elimination order: the DP's own.
 
     The subset DP runs on each connected component, so TREEWIDTH_LIMIT
     bounds a component, not the graph.  Components are eliminated one
@@ -132,19 +196,9 @@ def elimination_order(g: Graph, anchor: Optional[int] = None
     has a perfect elimination order ending at any chosen vertex (Dirac).
     Empty graph has width -1 by convention; an edgeless graph width 0.
     """
-    if anchor is not None and not 0 <= anchor < g.n:
-        raise ValueError(f"anchor {anchor} out of range for {g.n} vertices")
-    width, order = -1, []
-    for vs in sorted(component_vertex_sets(g), key=lambda vs: anchor in vs):
-        if len(vs) > TREEWIDTH_LIMIT:
-            raise LimitError(
-                f"exact treewidth limited to components of n <="
-                f" {TREEWIDTH_LIMIT}, got {len(vs)}")
-        a = vs.index(anchor) if anchor in vs else None
-        w, local = _subset_dp(induced_subgraph(g, vs), a)
-        width = max(width, w)
-        order += [vs[i] for i in local]
-    return width, order
+    comps = optimal_orders(g, anchor)
+    return (max((c.width for c in comps), default=-1),
+            [v for c in comps for v in c.complete([])])
 
 
 def treewidth_exact(g: Graph, anchor: Optional[int] = None

@@ -354,11 +354,14 @@ def slot_canonical_edges(n: int, edges: Iterable[tuple[int, int]],
     none, sorted by their canonical edges.  One search over the whole
     graph would branch on every permutation of isomorphic components.
     A component that holds no label is canonicalised by `_canon`, the
-    plain graph's cached search, so equal components are searched once.
+    plain graph's cached search, so equal components are searched once,
+    and one whose vertices are all labelled needs no search.
     """
     g = Graph(n, {(u, v) if u < v else (v, u) for u, v in edges})
     rest, free = [], []
     for comp in component_vertex_sets(g):
+        if comp[-1] < slots:  # labelled throughout: nothing to place
+            continue
         sub = g if len(comp) == n else induced_subgraph(g, comp)
         if comp[0] < slots:
             order, _ = _canonical_order(sub._adj,

@@ -1,19 +1,18 @@
 """The counting engine: exact homomorphism counts via tree-decomposition DP.
 
-A pattern is compiled once, whole, by bucket elimination along the
-optimal elimination order `decomp.elimination_order` finds, into one
-plan: a tree of ops, each turning the tables of its child nodes
-(assignment tuple -> count) into its own.  The bucket of a vertex v
-multiplies the messages that hold v, the tables of earlier buckets,
-then sums v out, and its table goes to the bucket of its first
-eliminated vertex.  The order eliminates connected components one after
-another, so a component's count is a table with no slot left; it goes
-to the last vertex's bucket, which joins it like any other message, and
-the product over components is part of the plan.  A bucket starts from
-its largest message and joins every other message whose slots are a
-subset of its own by looking up the projected key, before it
-introduces any missing vertex; so a message is never padded to the full
-bag.  Introduces go neighbour-first, so only the first introduce above
+A pattern is compiled, whole, by bucket elimination along a
+width-optimal elimination order into one plan: a tree of ops, each
+turning the tables of its child nodes (assignment tuple -> count) into
+its own.  The bucket of a vertex v multiplies the messages that hold v,
+the tables of earlier buckets, then sums v out, and its table goes to
+the bucket of its first eliminated vertex.  The order eliminates
+connected components one after another, so a component's count is a
+table with no slot left; it goes to the last vertex's bucket, which
+joins it like any other message, and the product over components is
+part of the plan.  A bucket starts from its largest message and joins
+every other message whose slots are a subset of its own by looking up
+the projected key, before it introduces any missing vertex; so a
+message is never padded to the full bag.  Introduces go neighbour-first, so only the first introduce above
 a leaf ranges over every host vertex and the others are filtered
 through host adjacency (two or more bag neighbours intersect their
 frozensets).  The sum over v is fused, as a
@@ -30,8 +29,7 @@ neighbours, when the host's sum of squared degrees is small against the
 table.  Some kernels that sum into their keys use Python ints indexed
 by host vertex instead of a dict; `_kernel` says which and when.
 Running a plan costs O(n^(width+1)) table entries in the worst case, so
-plans are cached per pattern and guarded by an explicit width check
-before large hosts.
+plans are guarded by an explicit width check before large hosts.
 
 Spasm terms are quotients of one pattern, so their plans share pieces.
 Each node records what its table counts: the pattern vertex at each key
@@ -40,16 +38,20 @@ node's table is fixed by its meaning, the partial pattern its sub-plan
 adds, with the key's slots labelled in key order and the summed-out
 vertices labelled canonically, so nodes reached through other labels or
 another introduce order hold equal tables when their meanings are
-equal.  Once per row of roots, not per host, the row is compiled into
-one program.  Each node maps to a representative, the first node with
-its meaning in post-order over the roots in row order, so the choice
-depends on the row alone.  For each root the program lists flat steps,
+equal.  Once per row of terms, not per host, the row is compiled into
+one program, and plans are chosen per row, not per pattern: terms go
+largest first, and each takes, among the width-optimal orders the
+subset DP allows, one whose plan adds the fewest new wide tables to
+those the row already holds (`_choose`), so its labels pick no plan.
+Each node then maps to a representative, the first node with its
+meaning in post-order over the roots in row order, so every choice
+depends on the row alone.  For each term the program lists flat steps,
 one kernel run each, from input cells into an output cell: the
-representatives first asked for at that root, in post-order.  A cell is
-emptied after its last read in the row, so each meaning is computed
-once per host, a table is kept exactly as long as the row needs it, and
-a host's run of the row, its cells and a cursor over the roots, ends
-empty.
+representatives first asked for at that term's root, in post-order.  A
+cell is emptied after its last read in the row, so each meaning is
+computed once per host, a table is kept exactly as long as the row
+needs it, and a host's run of the row, its cells and a cursor over the
+terms, ends empty.  A term counted alone is a row of one.
 
 Everything is arbitrary-precision integer arithmetic; floats never appear.
 """
@@ -63,7 +65,7 @@ from itertools import compress, product, repeat
 from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .decomp import elimination_order
+from .decomp import elimination_order, optimal_orders
 from .graphs import (
     AnchoredGraph,
     Graph,
@@ -287,44 +289,7 @@ def _compile_buckets(pattern: Graph, order: Sequence[int],
     return cur.seal()
 
 
-@lru_cache(maxsize=None)
-def _plan(pattern: Graph, anchor: Optional[int]) -> tuple[_Node, int]:
-    """The root of the pattern's plan and its width: the one place a
-    pattern is compiled.  The elimination order ends at the anchor, so
-    the root's key is the anchor's image."""
-    width, order = elimination_order(pattern, anchor)
-    return _compile_buckets(pattern, order, anchor is not None), width
-
-
-def _term_plan(t: PatternLike) -> tuple[_Node, int]:
-    if isinstance(t, AnchoredGraph):
-        return _plan(t.graph, t.anchor)
-    return _plan(t, None)
-
-
 # === the row program ===
-
-
-def _meaning(node: _Node) -> tuple:
-    """(size, n, edges): the partial pattern whose homomorphism counts the
-    node's table holds, on vertices 0..n-1 with the key's slots first, in
-    key order, and the summed-out vertices after them, canonically
-    labelled (`graphs.slot_canonical_edges`).  Nodes with equal meanings
-    hold equal tables on every host.  The pattern is what the introduces
-    of the node's sub-plan add, in pattern labels.
-    """
-    verts, edges, todo = set(), set(), [node]
-    while todo:
-        x = todo.pop()
-        todo.extend(x.kids)
-        if x.adds:
-            u, *nbrs = x.adds
-            verts.add(u)
-            edges.update((u, w) for w in nbrs)
-    at = {v: i for i, v in enumerate(
-        [*node.slots, *verts.difference(node.slots)])}
-    return (node.size, len(at), slot_canonical_edges(
-        len(at), [(at[u], at[w]) for u, w in edges], node.size))
 
 
 def _post_order(root: _Node, kids) -> Iterator[_Node]:
@@ -339,23 +304,99 @@ def _post_order(root: _Node, kids) -> Iterator[_Node]:
             todo.extend((kid, False) for kid in reversed(kids(node)))
 
 
-def _representatives(roots: Sequence[_Node]) -> dict[_Node, _Node]:
+def _meanings(root: _Node, known: dict) -> dict[_Node, tuple]:
+    """Each node under root, a tree, mapped to its meaning (size, n,
+    edges): the partial pattern whose homomorphism counts the node's
+    table holds, on vertices 0..n-1 with the key's slots first, in key
+    order, and the summed-out vertices after them, canonically labelled
+    (`graphs.slot_canonical_edges`).  Nodes with equal meanings hold
+    equal tables on every host.  The pattern is what the introduces of
+    the node's sub-plan add, in pattern labels; `known` maps each such
+    labelled pattern (slots, vertices, edges) to its meaning, so one met
+    again costs no search.
+    """
+    parts: dict[_Node, tuple] = {}
+    out: dict[_Node, tuple] = {}
+    for node in _post_order(root, lambda x: x.kids):
+        verts, edges = set(), set()
+        for kid in node.kids:
+            verts.update(parts[kid][1])
+            edges.update(parts[kid][2])
+        if node.adds:
+            u, *nbrs = node.adds
+            verts.add(u)
+            edges.update((u, w) if u < w else (w, u) for w in nbrs)
+        parts[node] = key = (node.slots, frozenset(verts), frozenset(edges))
+        if key not in known:
+            at = {v: i for i, v in enumerate(
+                [*node.slots, *verts.difference(node.slots)])}
+            known[key] = (node.size, len(at), slot_canonical_edges(
+                len(at), [(at[u], at[w]) for u, w in edges], node.size))
+        out[node] = known[key]
+    return out
+
+
+def _novelty(root: _Node, held: set, known: dict) -> tuple:
+    """How much root's plan adds to a row whose tables have the meanings
+    `held`: the key sizes of its tables with other meanings, one per
+    meaning, largest first, then their edges.  Compared as tuples, fewer
+    3-slot tables win, then fewer 2-slot, then fewer 1-slot, then fewer
+    edges: a table over fewer edges is a sub-plan more of the row's
+    smaller terms can share.
+    """
+    new = {m for m in _meanings(root, known).values()
+           if m[0] and m not in held}
+    return (sorted((m[0] for m in new), reverse=True),
+            sum(len(m[2]) for m in new))
+
+
+def _choose(pattern: Graph, anchor: Optional[int], held: set,
+            known: dict) -> _Node:
+    """The root of the pattern's plan, along a width-optimal elimination
+    order chosen for a row whose tables so far have the meanings `held`.
+
+    Each connected component's order is built from its end, the anchor
+    when it holds it.  Where more than one vertex can come next, each is
+    tried: the order is completed as the DP's own order goes, and the
+    component is compiled along it and scored by `_novelty`.  The best
+    goes next, the DP's own pick on a tie, so the chosen order never
+    scores worse than the DP's, costs at most n^2 compiles for n
+    vertices, and a component with one optimal order is never scored.
+    """
+    order = []
+    for comp in optimal_orders(pattern, anchor):
+        suffix: list[int] = []
+        while len(suffix) < len(comp.vertices):
+            options = comp.options(suffix)
+            suffix.insert(0, options[0] if len(options) == 1 else min(
+                options, key=lambda v: _novelty(_compile_buckets(
+                    pattern, comp.complete([v, *suffix]), comp.anchored),
+                    held, known)))  # each candidate plan dropped once scored
+        order += suffix
+    return _compile_buckets(pattern, order, anchor is not None)
+
+
+def _representatives(roots: Sequence[_Node],
+                     known: Optional[dict] = None) -> dict[_Node, _Node]:
     """Each node reachable from `roots` mapped to its representative: the
     first node with its meaning in post-order over the roots in row
-    order, so the choice depends on the row alone."""
+    order, so the choice depends on the row alone.  `known` is as for
+    `_meanings`."""
+    known = {} if known is None else known
     reps: dict[_Node, _Node] = {}
     first: dict[tuple, _Node] = {}
-    for root in roots:  # a root met again (a term listed twice) is skipped
-        for node in _post_order(root, lambda x: () if x in reps else x.kids):
-            if node not in reps:
-                reps[node] = first.setdefault(_meaning(node), node)
+    for root in roots:
+        if root not in reps:  # else a root met again (a term listed twice)
+            for node, m in _meanings(root, known).items():
+                reps[node] = first.setdefault(m, node)
     return reps
 
 
-@lru_cache(maxsize=64)
-def _program(roots: tuple[_Node, ...]) -> tuple[int, tuple]:
-    """The row program of `roots`: the number of cells a host's run needs,
-    and, for each root in row order, (root, steps, cell, drop).
+def _layout(names: Sequence, roots: Sequence[_Node],
+            known: Optional[dict] = None) -> tuple[int, tuple]:
+    """The program of a row of roots: the number of cells a host's run
+    needs, and, for each root in row order, (name, root, steps, cell,
+    drop), `name` being what a count checks the cursor is at.
 
     A root's steps compute, in post-order, each representative the row
     asks for there for the first time, after its children's; `cell` then
@@ -364,11 +405,11 @@ def _program(roots: tuple[_Node, ...]) -> tuple[int, tuple]:
     into cell `out`, then empties the cells it was the row's last read
     of, and `drop` lists those of the root's own read.
     """
-    reps = _representatives(roots)
+    reps = _representatives(roots, known)
     cell: dict[_Node, int] = {}  # representative -> its cell
     last: dict[int, list] = {}  # cell -> the clear list of its last read
     segments = []
-    for root in roots:
+    for name, root in zip(names, roots):
         steps = []
         for rep in _post_order(reps[root], lambda x: () if x in cell else
                                tuple(reps[kid] for kid in x.kids)):
@@ -381,15 +422,36 @@ def _program(roots: tuple[_Node, ...]) -> tuple[int, tuple]:
                               cell[rep], clear))
         out = cell[reps[root]]
         drop = last[out] = []
-        segments.append((root, steps, out, drop))
+        segments.append((name, root, steps, out, drop))
     for c, clear in last.items():
         clear.append(c)
     return len(cell), tuple(segments)
 
 
-def _store(roots: Iterable[_Node]) -> tuple[Iterator[tuple], list]:
-    """A host's run of the roots' row program: a cursor, empty cells."""
-    size, segments = _program(tuple(roots))
+@lru_cache(maxsize=1024)
+def _program(terms: tuple[PatternLike, ...]) -> tuple[int, tuple]:
+    """The row program of `terms` (see `_layout`), each segment named by
+    its term.  Plans are chosen for the row by `_choose`, largest term
+    first (reverse row order), each against the tables of the plans
+    chosen before it; a term listed twice gets one plan.  The cache
+    holds many rows because a pattern counted alone is a row of one: a
+    caller counting more patterns one by one, host after host, than it
+    holds would compile each again on every call."""
+    held: set = set()
+    known: dict = {}
+    plans: dict[PatternLike, _Node] = {}
+    for t in reversed(terms):
+        if t not in plans:
+            plans[t] = root = (_choose(t.graph, t.anchor, held, known)
+                               if isinstance(t, AnchoredGraph)
+                               else _choose(t, None, held, known))
+            held.update(_meanings(root, known).values())
+    return _layout(terms, [plans[t] for t in terms], known)
+
+
+def _store(terms: Iterable[PatternLike]) -> tuple[Iterator[tuple], list]:
+    """A host's run of the terms' row program: a cursor, empty cells."""
+    size, segments = _program(tuple(terms))
     return iter(segments), [None] * size
 
 
@@ -540,16 +602,19 @@ def _kernel(op: tuple, arity: int):
     return env["kernel"]
 
 
-def _run_plan(node: _Node, host: HostGraph,
-              store: Optional[tuple] = None) -> dict:
-    """The table (assignment tuple -> count) of a root's plan on a host:
-    the steps of the store's next root, which must be `node`, run as one
-    loop.  Without a store, one is made for this root alone.
+def _run_plan(name, host: HostGraph, store: Optional[tuple] = None) -> dict:
+    """The table (assignment tuple -> count) of the store's next root on a
+    host, its steps run as one loop; `name` must be what the program
+    names that root.  Without a store, `name` is a plan's root, run as a
+    row of one.
     """
-    segments, cells = _store((node,)) if store is None else store
-    root, steps, out, drop = next(segments, (None,) * 4)
-    if root is not node:
-        raise ValueError("not the next root of the store's row program")
+    if store is None:
+        size, segments = _layout((name,), (name,))
+        store = iter(segments), [None] * size
+    segments, cells = store
+    at, _, steps, out, drop = next(segments, (None,) * 5)
+    if at is not name and at != name:
+        raise ValueError("not the next term of the store's row program")
     for op, arity, ins, dst, clear in steps:
         cells[dst] = (_kernel(op, arity)(*[cells[i] for i in ins], host)
                       if ins else {(): 1})
@@ -572,12 +637,13 @@ def hom_count(pattern: Graph, host: HostGraph,
     check_width_guard.  A store, one host's run of a row program
     (term_counts_for_host passes one), shares sub-plan tables between
     the row's terms, which must go through it in row order (ValueError).
+    Without one, the pattern is a row of one.
     """
     if isinstance(pattern, AnchoredGraph):
         raise TypeError("use hom_count_node for anchored patterns")
     if pattern.n < 1:
         raise ValueError("pattern needs at least one vertex")
-    return _run_plan(_plan(pattern, None)[0], host, store).get((), 0)
+    return _run_plan(pattern, host, store or _store((pattern,))).get((), 0)
 
 
 def hom_count_node(pattern: AnchoredGraph, host: HostGraph,
@@ -590,13 +656,16 @@ def hom_count_node(pattern: AnchoredGraph, host: HostGraph,
     """
     if not isinstance(pattern, AnchoredGraph):
         raise TypeError("hom_count_node needs an AnchoredGraph")
-    table = _run_plan(_plan(pattern.graph, pattern.anchor)[0], host, store)
+    table = _run_plan(pattern, host, store or _store((pattern,)))
     return tuple(map(table.get, zip(range(host.n)), repeat(0)))
 
 
 def plan_width(pattern: PatternLike) -> int:
-    """Width of the compiled plan for a pattern; -1 for the empty one."""
-    return _term_plan(pattern)[1]
+    """Width of the compiled plan for a pattern; -1 for the empty one.
+    Every order a row compiles has the width of the DP's own."""
+    if isinstance(pattern, AnchoredGraph):
+        return elimination_order(pattern.graph, pattern.anchor)[0]
+    return elimination_order(pattern)[0]
 
 
 def check_width_guard(pattern: PatternLike, host_n: int,
@@ -712,7 +781,7 @@ def term_counts_for_host(terms: Sequence[PatternLike], host: HostGraph,
     with one run of the row's program as the store: a sub-plan that
     several terms' plans contain is computed once on this host.
     """
-    store = _store(_term_plan(t)[0] for t in terms)
+    store = _store(terms)
     row = []
     for t in terms:
         check_width_guard(t, host.n, allow_wide)

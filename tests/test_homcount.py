@@ -26,12 +26,10 @@ from motifbasis.homcount import (
     _compile_buckets,
     _kernel,
     _Node,
-    _plan,
     _program,
     _representatives,
     _run_plan,
     _store,
-    _term_plan,
     batch_evaluate,
     batch_term_counts,
     check_width_guard,
@@ -64,6 +62,11 @@ def random_graph(rng, n, p=0.5):
 
 def random_host(rng, n, p=0.5):
     return HostGraph.from_graph(random_graph(rng, n, p))
+
+
+def _roots(terms):
+    """The plan roots the terms' row program compiles, in row order."""
+    return [root for _, root, _, _, _ in _program(tuple(terms))[1]]
 
 
 def test_host_graph_basics():
@@ -174,11 +177,13 @@ def test_plan_quality_on_anchored_c8_basis():
     # ranges over every host vertex; bucket elimination joins messages
     # without padding them to the full bag (887 ops over a nice
     # decomposition rooted where its elimination ends, 1192 rooted at the
-    # first bag, 1620 before ops were fused)
+    # first bag, 1620 before ops were fused).  Plans chosen for the row
+    # split into more branches, so more of them are shared: 906 ops over
+    # 184 leaves, against 837 over 164 with plans chosen by vertex label
     ops = leaves = unfiltered = 0
     nodes = set()
-    roots = [_plan(t.graph.graph, t.graph.anchor)[0]
-             for t in anchored_spasm_of(named_pattern("C8@0")).terms]
+    roots = _roots(t.graph for t in
+                   anchored_spasm_of(named_pattern("C8@0")).terms)
     for root in roots:
         # every op of the plan
         tree = [root]
@@ -189,18 +194,18 @@ def test_plan_quality_on_anchored_c8_basis():
             ops += 1
             leaves += node.op[0] == "leaf"
             unfiltered += node.op[0] == "intro" and not node.op[2]
-    assert leaves == 164
+    assert leaves == 184
     assert unfiltered == leaves
-    assert ops < 887
+    assert ops == 906
     # each plan is a tree of its own nodes; the row computes fewer
     assert len(nodes) == ops
     assert len(set(_representatives(roots).values())) < ops
 
 
 def _row_terms():
-    """The term lists of the three benchmark workloads: the anchored C8
+    """The term lists of the three benchmark workloads (the anchored C8
     basis, every connected pattern on 1..5 vertices in hom mode, and the
-    sub-mode bases of C5 and P5."""
+    sub-mode bases of C5 and P5) and the graph-level C8 basis."""
     hom = [cli.build_combination(p, "hom", None)
            for p in enumerate_connected_graphs(1, 5)]
     sub = [cli.build_combination(named_pattern(p), "sub", None)
@@ -208,7 +213,8 @@ def _row_terms():
     return {"C8@0": [t.graph for t in
                      anchored_spasm_of(named_pattern("C8@0")).terms],
             "omega-con-1-5": dedupe_terms(hom)[0],
-            "C5+P5": dedupe_terms(sub)[0]}
+            "C5+P5": dedupe_terms(sub)[0],
+            "C8": [t.graph for t in spasm_of(named_pattern("C8")).terms]}
 
 
 def _c8_entries(monkeypatch, terms):
@@ -237,36 +243,67 @@ def _c8_entries(monkeypatch, terms):
 
 def test_kernel_entries_on_anchored_c8_basis(monkeypatch):
     # the DP's work as an exact count, and the representatives of each
-    # row, for the anchored C8 basis and the other two benchmark term
-    # lists (C8@0: 243,807 entries when join children were padded to the
-    # full bag, 180,515 when only op-equal sub-plans shared a table)
-    want = {"C8@0": (156_167, 152), "omega-con-1-5": (27_046, 57),
-            "C5+P5": (10_867, 19)}
+    # row, for the anchored C8 basis, the other two benchmark term lists
+    # and the graph-level C8 basis.  With plans chosen by vertex label the
+    # rows read 156,167/152, 27,046/57, 10,867/19 and 195,245/77 (C8@0:
+    # 243,807 entries when join children were padded to the full bag,
+    # 180,515 when only op-equal sub-plans shared a table)
+    want = {"C8@0": (84_635, 128), "omega-con-1-5": (25_197, 52),
+            "C5+P5": (10_216, 18), "C8": (37_298, 64)}
     for name, terms in _row_terms().items():
-        reps = _representatives([_term_plan(t)[0] for t in terms])
+        reps = _representatives(_roots(terms))
         got = _c8_entries(monkeypatch, terms), len(set(reps.values()))
         assert got == want[name], name
 
 
+def test_no_row_introduces_a_vertex_without_neighbours_over_a_wide_table():
+    # such an introduce over a 2-slot table builds n^3 entries; with plans
+    # chosen by vertex label one term of the C8 row did (FSP@w, 127,580 of
+    # the row's 195,245 entries)
+    for name, terms in _row_terms().items():
+        todo = _roots(terms)
+        while todo:
+            node = todo.pop()
+            todo.extend(node.kids)
+            assert node.op[0] != "intro" or node.op[2] or \
+                node.kids[0].size < 2, name
+
+
+def test_compile_cost_of_the_c8_row(monkeypatch):
+    # plan compiles and canonical searches made while compiling the C8@0
+    # row program from cold caches: at most n^2 + 1 compiles for a term
+    # of n vertices (96 compiles and 673 searches with plans chosen by
+    # vertex label)
+    terms = [t.graph for t in anchored_spasm_of(named_pattern("C8@0")).terms]
+    _program.cache_clear()
+    graphs._canon.cache_clear()
+    compiles, searches = [], []
+    compile_plan, search = homcount._compile_buckets, graphs._canonical_order
+    monkeypatch.setattr(homcount, "_compile_buckets",
+                        lambda *a: compiles.append(a) or compile_plan(*a))
+    monkeypatch.setattr(graphs, "_canonical_order",
+                        lambda *a: searches.append(a) or search(*a))
+    _program(tuple(terms))
+    assert (len(compiles), len(searches)) == (997, 604)
+    assert len(compiles) <= sum(t.n ** 2 + 1 for t in terms)
+
+
 def test_sharing_does_not_depend_on_what_else_was_compiled(monkeypatch):
-    # after plans compiled along random orders, and rows of them counted,
-    # the C8@0 row still picks its representatives from its own roots
-    # alone
-    _plan.cache_clear()
+    # after plans compiled along random orders and counted, and other
+    # rows of its terms counted, the C8@0 row still chooses its plans and
+    # representatives from its own terms alone
     _program.cache_clear()
     rng = random.Random(56)
     host = random_host(rng, 6)
     terms = [t.graph for t in anchored_spasm_of(named_pattern("C8@0")).terms]
     for t in terms:
         g, a = t.graph, t.anchor
-        roots = []
         for _ in range(3):
             order = rng.sample([v for v in range(g.n) if v != a], g.n - 1)
-            roots.append(_compile_buckets(g, order + [a], True))
-        for root in roots:
-            _run_plan(root, host)
-        _program(tuple(roots))
-    assert _c8_entries(monkeypatch, terms) == 156_167
+            _run_plan(_compile_buckets(g, order + [a], True), host)
+    for row in (terms[::-1], terms[:50], terms[40:], rng.sample(terms, 60)):
+        term_counts_for_host(row, host)
+    assert _c8_entries(monkeypatch, terms) == 84_635
 
 
 def test_many_isomorphic_components_count_fast():
@@ -298,20 +335,20 @@ def test_a_store_counts_its_own_row_in_order():
     host = HostGraph(3, [(0, 1), (1, 2)])
     p3, k2 = named_pattern("P3"), named_pattern("K2")
     anchored = AnchoredGraph(p3, 0)
-    roots = [_term_plan(t)[0] for t in (k2, p3, anchored)]
-    store = _store(roots)
+    row = (k2, p3, anchored)
+    store = _store(row)
     assert hom_count(k2, host, store) == 4
-    with pytest.raises(ValueError, match="next root"):
+    with pytest.raises(ValueError, match="next term"):
         hom_count_node(anchored, host, store)  # out of order
-    store = _store(roots)
+    store = _store(row)
     assert hom_count(k2, host, store) == 4
     assert hom_count(p3, host, store) == 6
     assert hom_count_node(anchored, host, store) == (2, 2, 2)
     assert all(table is None for table in store[1])
-    with pytest.raises(ValueError, match="next root"):
+    with pytest.raises(ValueError, match="next term"):
         hom_count(k2, host, store)  # the row is done
-    with pytest.raises(ValueError, match="next root"):
-        hom_count(p3, host, _store(roots[:1]))  # not in this row
+    with pytest.raises(ValueError, match="next term"):
+        hom_count(p3, host, _store(row[:1]))  # not in this row
 
 
 def test_equal_components_are_searched_once(monkeypatch):
@@ -322,8 +359,7 @@ def test_equal_components_are_searched_once(monkeypatch):
     for _ in range(30):
         triangles = disjoint_union(triangles, named_pattern("K3"))
     for pattern, homs, searches in ((Graph(200), 6 ** 200, 1),
-                                    (triangles, 6 ** 30, 90)):
-        _plan.cache_clear()
+                                    (triangles, 6 ** 30, 30)):
         _program.cache_clear()
         graphs._canon.cache_clear()
         calls = []
@@ -377,18 +413,17 @@ def test_dense_kernel_guard_on_a_long_path():
         assert peak < 1 << 20, op
 
 
-def test_c8_row_maps_its_nodes_to_152_representatives():
+def test_c8_row_maps_its_nodes_to_128_representatives():
     # a bucket's top op becomes a node only once no later bucket can
     # still fuse a forget into it; the row computes one node per meaning
-    _plan.cache_clear()
+    # (837 nodes to 152 representatives with plans chosen by vertex label)
     _program.cache_clear()
     terms = [t.graph for t in anchored_spasm_of(named_pattern("C8@0")).terms]
-    roots = tuple(_term_plan(t)[0] for t in terms)
-    reps = _representatives(roots)
-    assert len(reps) == 837
-    assert len(set(reps.values())) == 152
-    cells, segments = _program(roots)
-    assert cells == sum(len(steps) for _, steps, _, _ in segments) == 152
+    reps = _representatives(_roots(terms))
+    assert len(reps) == 906
+    assert len(set(reps.values())) == 128
+    cells, segments = _program(tuple(terms))
+    assert cells == sum(len(steps) for _, _, steps, _, _ in segments) == 128
 
 
 def test_merged_nodes_hold_their_representatives_tables():
@@ -403,7 +438,7 @@ def test_merged_nodes_hold_their_representatives_tables():
         aq = AnchoredGraph(q, rng.randrange(q.n))
         terms = ([t.graph for t in spasm_of(p).terms]
                  + [t.graph for t in anchored_spasm_of(aq).terms])
-        reps = _representatives([_term_plan(t)[0] for t in terms])
+        reps = _representatives(_roots(terms))
         merged += sum(node is not rep for node, rep in reps.items())
         h = random_graph(rng, rng.randint(1, 6))
         host = HostGraph.from_graph(h)
@@ -433,7 +468,7 @@ def test_every_join_child_forgets():
     # bag's own vertex, so no join child is a bare edge indicator
     for f in enumerate_connected_graphs(1, 6):
         for a in (None, *range(f.n)):
-            todo = [_plan(f, a)[0]]
+            todo = _roots([f if a is None else AnchoredGraph(f, a)])
             while todo:
                 node = todo.pop()
                 todo.extend(node.kids)
@@ -446,7 +481,7 @@ def test_no_introduce_without_a_neighbour_above_a_table():
     # one over a non-empty key builds n times its table
     for f in enumerate_connected_graphs(1, 6):
         for a in (None, *range(f.n)):
-            todo = [_plan(f, a)[0]]
+            todo = _roots([f if a is None else AnchoredGraph(f, a)])
             while todo:
                 node = todo.pop()
                 todo.extend(node.kids)
@@ -544,11 +579,11 @@ def test_kernels_match_oracle(monkeypatch):
 
 
 def test_kernels_compile_on_first_run():
-    _plan.cache_clear()
+    _program.cache_clear()
     _kernel.cache_clear()
     terms = [t.graph for t in spasm_of(named_pattern("C6")).terms]
-    widths = [plan_width(t) for t in terms]  # compiles every plan
-    assert max(widths) == 2 and _plan.cache_info().currsize
+    widths = [plan_width(t) for t in terms]  # compiles no plan
+    assert max(widths) == 2 and not _program.cache_info().currsize
     assert _kernel.cache_info().currsize == 0
     host = random_host(random.Random(71), 6)
     term_counts_for_host(terms, host)

@@ -182,11 +182,10 @@ def test_shared_rows_match_single_terms_and_oracle(seed, monkeypatch):
             # every table dropped after use
             assert all(table is None for table in stores[0][1])
             # some sub-plan's table is read more than once
-            roots = tuple(homcount._term_plan(t)[0] for t in terms)
-            segments = homcount._program(roots)[1]
-            steps = [step for _, seg, _, _ in segments for step in seg]
+            segments = homcount._program(tuple(terms))[1]
+            steps = [step for _, _, seg, _, _ in segments for step in seg]
             reads = Counter(i for _, _, ins, _, _ in steps for i in ins)
-            reads.update(out for _, _, out, _ in segments)  # roots' reads
+            reads.update(out for _, _, _, out, _ in segments)  # roots' reads
             shared += any(reads[out] > 1 for _, _, ins, out, _ in steps
                           if ins)
             alone, want = [], []
@@ -218,7 +217,8 @@ def test_each_subplan_computed_once_per_row(seed, monkeypatch):
 
     monkeypatch.setattr(homcount, "_kernel", counting)
     for terms, hosts in term_lists(200 + seed, 8):
-        roots = [homcount._term_plan(t)[0] for t in terms]
+        roots = [root for _, root, _, _, _ in
+                 homcount._program(tuple(terms))[1]]
         todo = list(roots)
         nodes = set()
         while todo:
@@ -236,11 +236,11 @@ def test_each_subplan_computed_once_per_row(seed, monkeypatch):
                 asked.add(rep)
                 todo.extend(reps[kid] for kid in rep.kids)
         computed = sum(bool(rep.kids) for rep in asked)  # leaves: no kernel
-        assert computed == len({homcount._meaning(rep)
+        assert computed == len({homcount._meanings(rep, {})[rep]
                                 for rep in asked if rep.kids})
         assert computed <= sum(bool(node.kids) for node in nodes)
-        steps = [step for _, seg, _, _ in homcount._program(tuple(roots))[1]
-                 for step in seg]
+        steps = [step for _, _, seg, _, _ in
+                 homcount._program(tuple(terms))[1] for step in seg]
         assert computed == sum(bool(ins) for _, _, ins, _, _ in steps)
         for h in hosts:
             calls.clear()

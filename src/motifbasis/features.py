@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -408,15 +409,30 @@ def _open_out(path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
+# A row id csv.writer writes unquoted (and without error, which NUL
+# raises before Python 3.11).
+_PLAIN_ID = re.compile(r'[^\0\r\n,"]+')
+
+
 def export(m: FeatureMatrix, path, format: str = "csv") -> None:
     """Write the matrix to path ("-" for stdout) as csv or jsonl;
-    byte-deterministic."""
+    byte-deterministic.
+
+    The csv bytes are csv.writer's.  A row with a plain id and only float
+    cells needs no quoting, so it is written as the id and the reprs of
+    its cells (csv.writer's own text for a float) joined by commas; every
+    other row goes through csv.writer.
+    """
     if format == "csv":
         with _open_out(path) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["row_id"] + [c.name for c in m.columns])
-            writer.writerows([rid, *row]
-                             for rid, row in zip(m.row_ids, m.rows))
+            for rid, row in zip(m.row_ids, m.rows):
+                if (type(rid) is str and _PLAIN_ID.fullmatch(rid)
+                        and all(type(x) is float for x in row)):
+                    fh.write(",".join((rid, *map(repr, row))) + "\n")
+                else:
+                    writer.writerow([rid, *row])
         return
     if format == "jsonl":
         with _open_out(path) as fh:

@@ -362,17 +362,32 @@ def _choose(pattern: Graph, anchor: Optional[int], held: set,
     goes next, the DP's own pick on a tie, so the chosen order never
     scores worse than the DP's, costs at most n^2 compiles for n
     vertices, and a component with one optimal order is never scored.
+    Only the previous step's winner can complete again, so its score and
+    root are kept, every other candidate plan is dropped once scored, and
+    a connected pattern's plan is its last winner, not a new compile.
     """
-    order = []
+    last = None  # (order, score, root) of the latest step's winner
+    order: list[int] = []
     for comp in optimal_orders(pattern, anchor):
         suffix: list[int] = []
         while len(suffix) < len(comp.vertices):
             options = comp.options(suffix)
-            suffix.insert(0, options[0] if len(options) == 1 else min(
-                options, key=lambda v: _novelty(_compile_buckets(
-                    pattern, comp.complete([v, *suffix]), comp.anchored),
-                    held, known)))  # each candidate plan dropped once scored
+            if len(options) > 1:
+                best = None
+                for v in options:
+                    tried = tuple(comp.complete([v, *suffix]))
+                    if last is not None and last[0] == tried:
+                        cand = last
+                    else:
+                        root = _compile_buckets(pattern, tried, comp.anchored)
+                        cand = (tried, _novelty(root, held, known), root)
+                    if best is None or cand[1] < best[1]:
+                        best, pick = cand, v
+                last, options = best, [pick]
+            suffix.insert(0, options[0])
         order += suffix
+    if last is not None and last[0] == tuple(order):
+        return last[2]
     return _compile_buckets(pattern, order, anchor is not None)
 
 

@@ -50,6 +50,9 @@ CASES = {
                         "--encoding", "zscore"],
     "features-sinusoidal": ["features", "--mode", "sub", "--pattern", "K3",
                             "--encoding", "sinusoidal", "--pe-dim", "4"],
+    "features-node-log1p-csv": ["features", "--mode", "sub",
+                                "--level", "node", "--pattern", "C4@0,P3@1",
+                                "--encoding", "log1p"],
     "features-node-zscore-jsonl": ["features", "--mode", "sub",
                                    "--level", "node", "--pattern", "P3@0",
                                    "--encoding", "zscore",
@@ -83,6 +86,7 @@ def run_case(dataset, argv) -> tuple[int, str]:
 # name -> (exit code, sha256 of stdout)
 GOLDEN = {
     'features-log1p': (0, '9adbad1484df0dc5862bedfa9ec36a459544a37e6a9bfef2bc24336cc0ab429f'),
+    'features-node-log1p-csv': (0, '339b321fa5738a3790e2be613a85970a06110300681ece80278183c08e3a3988'),
     'features-node-zscore-jsonl': (0, '091a65aeb6b5092cdf650710d4536f5f6cf3c6a343b08c40d4fd7cfc09b4a507'),
     'features-raw': (0, 'dd84fb6d9e6756eec9b0cf530084469e19075328eba43cfbeebdcac2ef9d77c1'),
     'features-sinusoidal': (0, '2998cc9981f414ac74bb4081d9d9c6fcc2a9fb997bcc3056791a60c6ca62b67f'),

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from .decomp import (
     decomposition_to_json_dict,
-    elimination_order,
+    pattern_treewidth,
     treewidth_exact,
 )
 from .features import (
@@ -157,8 +157,7 @@ def build_combination(pattern: PatternLike, mode: str,
 
 def _term_stats(term: BasisTerm) -> tuple[str, int, int, int]:
     g = term.graph
-    plain = g.graph if isinstance(g, AnchoredGraph) else g
-    return canonical_key(g), plain.n, plain.m, elimination_order(plain)[0]
+    return canonical_key(g), g.n, g.m, pattern_treewidth(g)
 
 
 def _print_basis_table(c: LinearCombination, out) -> None:

@@ -30,8 +30,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import (
+    AnchoredGraph,
     Graph,
     LimitError,
+    PatternLike,
     component_vertex_sets,
     induced_subgraph,
 )
@@ -182,6 +184,15 @@ def optimal_orders(g: Graph, anchor: Optional[int] = None
                 f" {TREEWIDTH_LIMIT}, got {len(vs)}")
         comps.append(OptimalOrders(g, vs, anchor))
     return comps
+
+
+def pattern_treewidth(pattern: PatternLike) -> int:
+    """Exact treewidth of a plain or anchored pattern, -1 for the empty
+    one; an anchored one runs the anchored DP, which skips the subsets
+    that hold the anchor."""
+    g, anchor = ((pattern.graph, pattern.anchor)
+                 if isinstance(pattern, AnchoredGraph) else (pattern, None))
+    return max((c.width for c in optimal_orders(g, anchor)), default=-1)
 
 
 def elimination_order(g: Graph, anchor: Optional[int] = None

@@ -8,8 +8,10 @@ Graphs are immutable and hashable so they can key caches directly.
 Canonical forms are computed by color refinement plus an
 individualization-refinement search that prunes automorphic branches, which
 keeps highly symmetric inputs (cliques, cycles) far away from factorial
-blowup.  One cached search per graph (`_canon`) gives the canonical form,
-the canonical key and the automorphism count.  The canonical key doubles as
+blowup.  `_canon` is the one search, cached; plain graphs, anchored
+graphs and slot-labelled components (`slot_canonical_edges`) differ only
+in the vertices it fixes.  It gives the canonical form, the key (graph6 of
+its best code) and the automorphism count.  The canonical key doubles as
 the cross-process cache identity, so its byte layout must never depend on
 dict ordering or hash seeds.
 """
@@ -17,6 +19,7 @@ dict ordering or hash seeds.
 from __future__ import annotations
 
 import re
+from binascii import b2a_base64
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional, Union
@@ -60,6 +63,15 @@ def validated_edges(n: int,
     return out
 
 
+def _adjacency(n: int, edges: Iterable) -> tuple[frozenset[int], ...]:
+    """Neighbour sets of vertices 0..n-1 under valid edges."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return tuple(map(frozenset, adj))
+
+
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
 
@@ -69,11 +81,7 @@ class Graph:
         norm = validated_edges(n, edges)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(norm)))
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        object.__setattr__(self, "_adj", tuple(frozenset(s) for s in adj))
+        object.__setattr__(self, "_adj", _adjacency(n, self.edges))
         object.__setattr__(self, "_hash", hash((n, self.edges)))
 
     def __setattr__(self, name, value):
@@ -266,21 +274,21 @@ def _adjacency_code(adj: tuple[frozenset[int], ...], order: list[int]) -> int:
 
 def _canonical_order(
     adj: tuple[frozenset[int], ...], init_colors: list[int]
-) -> tuple[tuple[int, ...], int]:
-    """Vertex order minimizing the packed adjacency code, and the order of
-    the group of color-preserving automorphisms.
+) -> tuple[int, tuple[int, ...], int]:
+    """The smallest packed adjacency code over vertex orders, an order
+    giving it, and the order of the group of color-preserving automorphisms.
 
     Individualization-refinement: refine, branch on one orbit
     representative per choice in the first non-singleton cell, take the
-    lexicographically smallest leaf.  Initial colors let callers pin an
-    anchor to its own class (smaller color sorts first, so an anchor
-    colored 0 always lands at canonical position 0).  The group order
-    falls out of the same tree by orbit-stabilizer: |orbit of the target
-    cell's first vertex| times the order its branch returns.
+    lexicographically smallest leaf.  Smaller initial colors sort first,
+    so a vertex alone in color i < k, where every other vertex has color
+    k, lands at canonical position i.  The group order falls out of the
+    same tree by orbit-stabilizer: |orbit of the target cell's first
+    vertex| times the order its branch returns.
     """
     n = len(adj)
     if n == 0:
-        return (), 1
+        return 0, (), 1
     best: list[Optional[tuple[int, tuple[int, ...]]]] = [None]
 
     def explore(colors: list[int]) -> int:
@@ -304,26 +312,24 @@ def _canonical_order(
 
     aut = explore(list(init_colors))
     assert best[0] is not None
-    return best[0][1], aut
+    return *best[0], aut
 
 
 @lru_cache(maxsize=100_000)
 def _canon(
-    n: int, edges: tuple[tuple[int, int], ...], anchor: Optional[int]
+    n: int, edges: tuple[tuple[int, int], ...], fixed: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], str, int]:
     """(canonical edges, perm, canonical key, automorphism count) of the
-    graph, anchor-preserving when anchor is not None: one search, cached
-    by edge tuple.  The only place a canonical key is made."""
-    g = Graph(n, edges)
-    init = [0] * n
-    if anchor is not None:
-        init = [1] * n
-        init[anchor] = 0
-    order, aut = _canonical_order(g._adj, init)
+    graph with valid, sorted `edges`, where vertex fixed[i] is coloured i
+    and the rest share one last colour: () for a plain graph, (anchor,)
+    for an anchored one.  Fixed vertices keep their order at the front.
+    The one search, cached by its arguments, and the only place a key is
+    made: graph6 packed from the best code, "@<position>" per fixed vertex."""
+    adj = _adjacency(n, edges)
+    init = [fixed.index(v) if v in fixed else len(fixed) for v in range(n)]
+    code, order, aut = _canonical_order(adj, init)
     perm, canon_edges = _relabelled(order, edges)
-    key = format_graph6(Graph(n, canon_edges))
-    if anchor is not None:
-        key = f"{key}@{perm[anchor]}"
+    key = _graph6(n, code) + "".join(f"@{perm[v]}" for v in fixed)
     return canon_edges, perm, key, aut
 
 
@@ -353,26 +359,22 @@ def slot_canonical_edges(n: int, edges: Iterable[tuple[int, int]],
     label come first, by smallest label, then the components that hold
     none, sorted by their canonical edges.  One search over the whole
     graph would branch on every permutation of isomorphic components.
-    A component that holds no label is canonicalised by `_canon`, the
-    plain graph's cached search, so equal components are searched once,
-    and one whose vertices are all labelled needs no search.
+    Every component goes through `_canon`, its labelled vertices fixed in
+    label order, so equal components, labelled or not, are searched once;
+    one whose vertices are all labelled needs no search.
     """
     g = Graph(n, {(u, v) if u < v else (v, u) for u, v in edges})
-    rest, free = [], []
+    parts = []  # (() if labelled else (n, canonical edges), vertices to place)
     for comp in component_vertex_sets(g):
         if comp[-1] < slots:  # labelled throughout: nothing to place
             continue
         sub = g if len(comp) == n else induced_subgraph(g, comp)
-        if comp[0] < slots:
-            order, _ = _canonical_order(sub._adj,
-                                        [min(v, slots) for v in comp])
-            rest += (comp[i] for i in order if comp[i] >= slots)
-        else:
-            code, perm, _, _ = _canon(sub.n, sub.edges, None)
-            order = [v for _, v in sorted(zip(perm, comp))]
-            free.append((sub.n, code, order))
-    free.sort(key=lambda f: f[:2])
-    rest += (v for *_, order in free for v in order)
+        fixed = tuple(i for i, v in enumerate(comp) if v < slots)
+        code, perm, _, _ = _canon(sub.n, sub.edges, fixed)
+        order = [v for _, v in sorted(zip(perm, comp))]
+        parts.append((() if fixed else (sub.n, code), order[len(fixed):]))
+    parts.sort(key=lambda p: p[0])
+    rest = [v for _, order in parts for v in order]
     return _relabelled([*range(slots), *rest], g.edges)[1]
 
 
@@ -382,13 +384,13 @@ def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     Returns (canonical graph, perm) with perm[old] = new; isomorphic inputs
     share the canonical graph byte for byte.
     """
-    canon_edges, perm, _, _ = _canon(g.n, g.edges, None)
+    canon_edges, perm, _, _ = _canon(g.n, g.edges, ())
     return Graph(g.n, canon_edges), perm
 
 
 def canonical_form_anchored(ag: AnchoredGraph) -> tuple[AnchoredGraph, tuple[int, ...]]:
     """Canonical form respecting the anchor; the anchor always maps to 0."""
-    canon_edges, perm, _, _ = _canon(ag.n, ag.graph.edges, ag.anchor)
+    canon_edges, perm, _, _ = _canon(ag.n, ag.graph.edges, (ag.anchor,))
     return AnchoredGraph(Graph(ag.n, canon_edges), perm[ag.anchor]), perm
 
 
@@ -397,8 +399,8 @@ def canonical_key(obj: PatternLike) -> str:
     for anchored graphs.  Equal strings iff isomorphic (anchor-preserving
     for anchored inputs)."""
     if isinstance(obj, AnchoredGraph):
-        return _canon(obj.n, obj.graph.edges, obj.anchor)[2]
-    return _canon(obj.n, obj.edges, None)[2]
+        return _canon(obj.n, obj.graph.edges, (obj.anchor,))[2]
+    return _canon(obj.n, obj.edges, ())[2]
 
 
 def is_isomorphic(a: PatternLike, b: PatternLike) -> bool:
@@ -415,12 +417,12 @@ def is_isomorphic(a: PatternLike, b: PatternLike) -> bool:
 
 def automorphism_count(g: Graph) -> int:
     """Order of the automorphism group, read off the canonical search."""
-    return _canon(g.n, g.edges, None)[3]
+    return _canon(g.n, g.edges, ())[3]
 
 
 def anchored_automorphism_count(ag: AnchoredGraph) -> int:
     """Automorphisms fixing the anchor."""
-    return _canon(ag.n, ag.graph.edges, ag.anchor)[3]
+    return _canon(ag.n, ag.graph.edges, (ag.anchor,))[3]
 
 
 # === composition, components ===
@@ -497,11 +499,10 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
     out: dict[str, Graph] = {}
     for base in _all_graphs(n - 1):
         for mask in range(1 << (n - 1)):
-            extra = [(v, n - 1) for v in range(n - 1) if mask >> v & 1]
-            g = Graph(n, list(base.edges) + extra)
-            key = canonical_key(g)
+            extra = tuple((v, n - 1) for v in range(n - 1) if mask >> v & 1)
+            edges, _, key, _ = _canon(n, tuple(sorted(base.edges + extra)), ())
             if key not in out:
-                out[key] = canonical_form(g)[0]
+                out[key] = Graph(n, edges)
     return tuple(out[k] for k in sorted(out, key=lambda k: (out[k].m, k)))
 
 
@@ -537,6 +538,11 @@ def enumerate_connected_graphs(min_vertices: int, max_vertices: int) -> list[Gra
 # === graph6 ===
 
 
+_G6_LETTERS = bytes.maketrans(  # base64's letter for each 6-bit value
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)))
+
+
 def _g6_bytes_for_n(n: int) -> list[int]:
     if n <= 62:
         return [n + 63]
@@ -545,27 +551,30 @@ def _g6_bytes_for_n(n: int) -> list[int]:
     raise LimitError("graph6 size field beyond supported range")
 
 
+def _graph6(n: int, code: int) -> str:
+    """graph6 of the graph on n vertices with adjacency code `code`
+    (`_adjacency_code`): base64 cuts its bits, padded to 24-bit groups,
+    into 6-bit values, re-lettered as graph6 chunks, chr(63 + value)."""
+    head = bytes(_g6_bytes_for_n(n))
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 24
+    body = b2a_base64((code << pad).to_bytes((nbits + pad) // 8, "big"))
+    return (head + body[:(nbits + 5) // 6].translate(_G6_LETTERS)).decode()
+
+
 def format_graph6(g: Graph) -> str:
     """Standard graph6 line for g.
 
     Upper triangle scanned column by column: bit order (0,1), (0,2), (1,2),
     (0,3), ...; bits packed 6 at a time, each chunk offset by 63.
     """
-    data = _g6_bytes_for_n(g.n)
-    buf = 0
-    nbits = 0
-    for j in range(1, g.n):
-        aj = g._adj[j]
-        for i in range(j):
-            buf = (buf << 1) | (i in aj)
-            nbits += 1
-            if nbits == 6:
-                data.append(buf + 63)
-                buf = 0
-                nbits = 0
-    if nbits:
-        data.append((buf << (6 - nbits)) + 63)
-    return bytes(data).decode("ascii")
+    _g6_bytes_for_n(g.n)  # the size limit, before the bits are laid out
+    nbits = g.n * (g.n - 1) // 2
+    bits = bytearray((nbits + 7) // 8)
+    for i, j in g.edges:
+        pos = j * (j - 1) // 2 + i
+        bits[pos >> 3] |= 128 >> (pos & 7)
+    return _graph6(g.n, int.from_bytes(bits, "big") >> (-nbits % 8))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -594,20 +603,11 @@ def parse_graph6(text: str) -> Graph:
         raise ValueError(
             f"graph6 body for n={n} needs {need} bytes, got {len(body)}"
         )
-    bits = 0
-    for b in body:
-        bits = (bits << 6) | (b - 63)
-    pad = 6 * need - nbits
-    if pad and bits & ((1 << pad) - 1):
+    bits = iter("".join(format(b - 63, "06b") for b in body))
+    edges = [(i, j) for j in range(1, n) for i in range(j)
+             if next(bits) == "1"]
+    if "1" in bits:  # the padding after the last pair
         raise ValueError("nonzero padding bits in graph6 body")
-    bits >>= pad
-    edges = []
-    pos = nbits
-    for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if bits >> pos & 1:
-                edges.append((i, j))
     return Graph(n, edges)
 
 

@@ -65,7 +65,7 @@ from itertools import compress, product, repeat
 from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .decomp import elimination_order, optimal_orders
+from .decomp import optimal_orders, pattern_treewidth
 from .graphs import (
     AnchoredGraph,
     Graph,
@@ -675,12 +675,9 @@ def hom_count_node(pattern: AnchoredGraph, host: HostGraph,
     return tuple(map(table.get, zip(range(host.n)), repeat(0)))
 
 
-def plan_width(pattern: PatternLike) -> int:
-    """Width of the compiled plan for a pattern; -1 for the empty one.
-    Every order a row compiles has the width of the DP's own."""
-    if isinstance(pattern, AnchoredGraph):
-        return elimination_order(pattern.graph, pattern.anchor)[0]
-    return elimination_order(pattern)[0]
+# the width of a pattern's compiled plan: every order a row compiles has
+# the width of the DP's own
+plan_width = pattern_treewidth
 
 
 def check_width_guard(pattern: PatternLike, host_n: int,

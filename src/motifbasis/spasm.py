@@ -28,12 +28,13 @@ from itertools import combinations
 from math import factorial
 from typing import Callable, Iterable
 
-from .decomp import elimination_order
+from .decomp import pattern_treewidth
 from .graphs import (
     AnchoredGraph,
     Graph,
     LimitError,
     PatternLike,
+    _canon,
     anchored_automorphism_count,
     automorphism_count,
     canonical_form,
@@ -128,17 +129,12 @@ def _accumulate(acc: dict, key: str, g: PatternLike, coeff) -> None:
     acc[key] = (g, coeff if prev is None else prev[1] + coeff)
 
 
-def _canonical(g: PatternLike) -> PatternLike:
-    if isinstance(g, AnchoredGraph):
-        return canonical_form_anchored(g)[0]
-    return canonical_form(g)[0]
-
-
 def _identity(g: PatternLike) -> tuple[PatternLike, str, int]:
     """Canonical form, key and automorphism count: reads of g's search."""
     if isinstance(g, AnchoredGraph):
-        return _canonical(g), canonical_key(g), anchored_automorphism_count(g)
-    return _canonical(g), canonical_key(g), automorphism_count(g)
+        return (canonical_form_anchored(g)[0], canonical_key(g),
+                anchored_automorphism_count(g))
+    return canonical_form(g)[0], canonical_key(g), automorphism_count(g)
 
 
 # === subgraph-count expansions ===
@@ -161,7 +157,8 @@ def _quotient_sum(
     or opens a new one, and never joins a block holding an earlier
     neighbour, so only loop-free partitions reach a leaf.  Joining a block
     of s vertices multiplies the weight by -s, which over a block of size
-    S gives (-1)^(S-1) (S-1)!.
+    S gives (-1)^(S-1) (S-1)!.  A leaf is a plain edge tuple, classified
+    by the cached search; only a kept class's canonical copy is a Graph.
     """
     anchored = isinstance(pattern, AnchoredGraph)
     g = pattern.graph if anchored else pattern
@@ -172,22 +169,16 @@ def _quotient_sum(
     earlier = [[u for u in g.neighbors(v) if u < v] for v in range(n)]
     block_of = [0] * n
     sizes: list[int] = []
-    acc: dict[str, list] = {}  # key -> [canonical quotient, weight]
+    acc: dict[str, list] = {}  # key -> [size, canonical edges, weight]
 
     def walk(v: int, w: int) -> None:
         if v == n:
-            q: PatternLike = Graph(len(sizes), {
+            k = len(sizes)
+            edges, _, key, _ = _canon(k, tuple(sorted({
                 (a, b) if a < b else (b, a)
                 for a, b in ((block_of[x], block_of[y]) for x, y in g.edges)
-            })
-            if anchored:
-                q = AnchoredGraph(q, block_of[pattern.anchor])
-            key = canonical_key(q)
-            seen = acc.get(key)
-            if seen is None:  # the canonical copy, once per class
-                acc[key] = [_canonical(q), w]
-            else:
-                seen[1] += w
+            })), (block_of[pattern.anchor],) if anchored else ())
+            acc.setdefault(key, [k, edges, 0])[2] += w
             return
         taken = {block_of[u] for u in earlier[v]}
         for b in range(len(sizes)):
@@ -202,7 +193,12 @@ def _quotient_sum(
         sizes.pop()
 
     walk(0, 1)
-    return tuple((key, q, w) for key, (q, w) in acc.items() if w)
+    out = []
+    for key, (k, edges, w) in acc.items():
+        if w:  # the class's canonical copy; a fixed anchor comes first
+            q = Graph(k, edges)
+            out.append((key, AnchoredGraph(q, 0) if anchored else q, w))
+    return tuple(out)
 
 
 def _hom_sum(level: str, pairs: Iterable[tuple[PatternLike, int]],
@@ -298,15 +294,16 @@ def indsub_expansion(pattern: Graph) -> LinearCombination:
 def _indsub_cached(pattern: Graph, key: str, aut: int) -> LinearCombination:
     non_edges = [e for e in combinations(range(pattern.n), 2)
                  if not pattern.has_edge(*e)]
-    # signed multiplicity of each supergraph class
-    signed: dict[str, tuple[Graph, int]] = {}
+    # canonical edges and signed multiplicity of each supergraph class
+    signed: dict[str, list] = {}
     for mask in range(1 << len(non_edges)):
         extra = [non_edges[i] for i in range(len(non_edges)) if mask >> i & 1]
-        sup = Graph(pattern.n, list(pattern.edges) + extra)
-        _accumulate(signed, canonical_key(sup), canonical_form(sup)[0],
-                    -1 if mask.bit_count() % 2 else 1)
+        edges, _, sup_key, _ = _canon(
+            pattern.n, tuple(sorted(pattern.edges + tuple(extra))), ())
+        signed.setdefault(sup_key, [edges, 0])[1] += (-1) ** mask.bit_count()
     return _hom_sum(GRAPH_LEVEL,
-                    [(g, count) for g, count in signed.values() if count],
+                    [(Graph(pattern.n, edges), count)
+                     for edges, count in signed.values() if count],
                     aut, f"IndSub[{key}]")
 
 
@@ -333,9 +330,9 @@ def _mask_class_table(k: int):
     for mask in range(len(table)):
         if table[mask] is not None:
             continue
-        g = Graph(k, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
-        key = canonical_key(g)
-        reps[key] = (canonical_form(g)[0], automorphism_count(g), mask)
+        edges, _, key, aut = _canon(k, tuple(
+            pairs[i] for i in range(len(pairs)) if mask >> i & 1), ())
+        reps[key] = (Graph(k, edges), aut, mask)
         table[mask] = key
         stack = [mask]
         while stack:
@@ -409,19 +406,14 @@ def simplify(c: LinearCombination) -> LinearCombination:
     """
     acc: dict[str, tuple[PatternLike, Fraction]] = {}
     for t in c.terms:
-        _accumulate(acc, canonical_key(t.graph), _canonical(t.graph),
-                    t.coefficient)
+        g, key, _ = _identity(t.graph)
+        _accumulate(acc, key, g, t.coefficient)
     return _assemble(c.basis_kind, c.level, acc, c.provenance)
 
 
 def filter_min_treewidth(c: LinearCombination, k: int) -> LinearCombination:
     """Drop every term whose graph has treewidth at most k."""
-    kept = tuple(
-        t for t in c.terms
-        if elimination_order(
-            t.graph.graph if isinstance(t.graph, AnchoredGraph) else t.graph
-        )[0] > k
-    )
+    kept = tuple(t for t in c.terms if pattern_treewidth(t.graph) > k)
     return LinearCombination(c.basis_kind, c.level, kept, c.provenance)
 
 

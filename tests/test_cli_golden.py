@@ -6,9 +6,11 @@ value.  The digests were taken from the engine before its combine, edge
 validation and component split were each folded into one function, so a
 pass here shows that the refactor left every output byte alone.
 
-To re-freeze after an intended output change, run this file as a script
-(`PYTHONPATH=src python tests/test_cli_golden.py`) and paste the printed
-table over GOLDEN.
+Standard library only.  Run as a script
+(`PYTHONPATH=src python tests/test_cli_golden.py`), this file prints the
+table of current digests and exits nonzero if any differs from GOLDEN;
+to re-freeze after an intended output change, paste the table over
+GOLDEN.
 """
 
 import contextlib
@@ -16,8 +18,7 @@ import hashlib
 import io
 import json
 import random
-
-import pytest
+import sys
 
 from motifbasis.cli import CACHE_ENV, main
 
@@ -106,7 +107,12 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+def pytest_generate_tests(metafunc):
+    # one test per case, parametrized without importing pytest
+    if "name" in metafunc.fixturenames:
+        metafunc.parametrize("name", sorted(CASES))
+
+
 def test_golden_output(name, tmp_path, monkeypatch):
     monkeypatch.delenv(CACHE_ENV, raising=False)
     dataset = tmp_path / "golden.jsonl"
@@ -123,7 +129,13 @@ if __name__ == "__main__":
         dataset = os.path.join(tmp, "golden.jsonl")
         write_dataset(dataset)
         print("GOLDEN = {")
+        differ = []
         for name in sorted(CASES):
-            code, digest = run_case(dataset, CASES[name])
-            print(f"    {name!r}: ({code}, {digest!r}),", flush=True)
+            got = run_case(dataset, CASES[name])
+            print(f"    {name!r}: {got!r},", flush=True)
+            if got != GOLDEN.get(name):
+                differ.append(name)
         print("}")
+    if differ:
+        sys.exit(f"{len(differ)} of {len(CASES)} cases differ from GOLDEN:"
+                 f" {', '.join(differ)}")

@@ -201,6 +201,40 @@ def test_canonical_key_digest():
     assert digest == CANONICAL_KEY_DIGEST
 
 
+# SHA-256 of canonical_bytes_lines(); frozen from the implementation in
+# which labelled components were searched apart from the cached search.
+# Forms, perms and automorphism counts pick the cache's entries and the
+# sub-plans a row shares, so they must not move either.
+CANONICAL_BYTES_DIGEST = (
+    "9a67ad2cd51e9c2b28caa7f8f4b541bdef806c7a8b13b2ab4a13170daecb805c")
+
+
+def canonical_bytes_lines():
+    """For seeded graphs on 0..9 vertices, sparse ones with several
+    components among them: graph6, slot-canonical edges at every slot
+    count, both perms and both automorphism counts at every anchor."""
+    rng = random.Random(24)
+    lines = []
+    for i in range(240):
+        g = random_graph(rng, i % 10, (0.15, 0.3, 0.5, 0.8)[i // 10 % 4])
+        lines.append(format_graph6(g))
+        lines.extend(repr(slot_canonical_edges(g.n, g.edges, s))
+                     for s in range(g.n + 1))
+        lines.append(repr((canonical_form(g)[1], automorphism_count(g))))
+        for a in range(g.n):
+            ag = AnchoredGraph(g, a)
+            lines.append(repr((canonical_form_anchored(ag)[1],
+                               anchored_automorphism_count(ag))))
+    return lines
+
+
+def test_canonical_bytes_digest():
+    lines = canonical_bytes_lines()
+    assert len(lines) == 2880
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CANONICAL_BYTES_DIGEST
+
+
 def _slot_isomorphic(n, a, b, slots):
     """Whether a permutation of the vertices >= slots maps edges a onto b."""
     target = set(b)
